@@ -13,7 +13,7 @@ from .gates import (GateSpec, clock_matrix, load_gate, make_additive_permutation
                     make_controlled_family, make_identity, make_swap, save_gate,
                     shift_matrix)
 from .power import (EntanglingPowerReport, UnitaryGate, ep_closed, ep_dense_oracle,
-                    ep_monte_carlo, ep_on_states, ep_value, haar_gate, haar_mean,
+                    ep_monte_carlo, ep_on_states, ep_value, ep_values, haar_gate, haar_mean,
                     linear_entropy, max_linear_entropy, swap_symmetric_ep, upper_bound)
 from .sampling import SeedSpec, haar_state, haar_unitary, product_state_pair
 from .search import OptimizeConfig, OptimizeResult, exhaustive_permutation_max, maximize_ep
@@ -24,7 +24,7 @@ __all__ = [
     "Bipartition", "DimensionError", "EntanglingPowerReport", "GateSpec", "Histogram",
     "KrausFamily", "OptimizeConfig", "OptimizeResult", "ResourceLimitError", "SeedSpec",
     "UnitaryGate", "ValidationError", "antisym_projector_13", "clock_matrix",
-    "ep_closed", "ep_dense_oracle", "ep_monte_carlo", "ep_on_states", "ep_value",
+    "ep_closed", "ep_dense_oracle", "ep_monte_carlo", "ep_on_states", "ep_value", "ep_values",
     "exhaustive_permutation_max", "haar_gate", "haar_mean", "haar_state", "haar_unitary",
     "kraus_from_unitary", "kron", "linear_entropy", "load_gate", "make_additive_permutation",
     "make_basis_permutation", "make_bilocal", "make_cnot", "make_controlled_family",

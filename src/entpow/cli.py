@@ -258,13 +258,12 @@ def cmd_replay(args) -> int:
     if args.out:
         params["out"] = args.out
     argv = [command]
-    for key in ("gate", "file"):
-        if params.get(key):
+    # eval and mc record their gate arguments as given; dist and optimize only the bipartition
+    for key in ("gate", "file", "d", "d1", "d2"):
+        if params.get(key) is not None:
             argv += [f"--{key}", str(params[key])]
-    if command in ("dist", "optimize") or params.get("gate") in ("identity",):
+    if command in ("dist", "optimize"):
         argv += ["--d1", str(part.get("d1")), "--d2", str(part.get("d2"))]
-    elif params.get("d") is not None:
-        argv += ["--d", str(params["d"])]
     for key in ("samples", "bins", "restarts", "iters", "step", "decay", "method"):
         if params.get(key) is not None:
             argv += [f"--{key}", str(params[key])]
@@ -351,8 +350,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # resolve the thread setting early so a bad ENTPOW_THREADS fails fast
-        if getattr(args, "threads", None) is not None:
+        # resolve the thread setting early so a bad --threads or ENTPOW_THREADS fails fast
+        if hasattr(args, "threads"):
             resolve_threads(args.threads)
         return args.func(args)
     except ResourceLimitError as exc:

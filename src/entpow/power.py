@@ -120,34 +120,52 @@ def linear_entropy(state: np.ndarray, part: Bipartition) -> float:
     return 1.0 - float(np.trace(rho @ rho).real)
 
 
-def _i0_i1(matrix: np.ndarray, part: Bipartition) -> tuple[float, float]:
-    """The two exchange-operator traces entering the closed form.
+def _i0_i1(stack: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
+    """The two exchange-operator traces entering the closed form, for a stack of gates.
 
-    With ``u`` the gate reshaped to four indices (row pair, column pair), each
+    With ``u`` each gate reshaped to four indices (row pair, column pair), each
     trace contracts two copies of ``u`` against two conjugated copies; pairing
-    the copies first reduces both to squared Frobenius norms of a single
-    tensordot, at cost O((d1 d2)^3).
+    the copies first reduces both to squared Frobenius norms of ``A A^dag``,
+    one batched matrix product per trace, at cost O((d1 d2)^3) per gate.
     """
     d1, d2 = part.d1, part.d2
-    u = matrix.reshape(d1, d2, d1, d2)
-    cu = u.conj()
-    # I0: contract over the d2 indices of each copy -> tensor indexed by four d1 indices
-    t0 = np.tensordot(u, cu, axes=([1, 3], [1, 3]))
-    # I1: contract over the d1 indices of each copy -> tensor indexed by four d2 indices
-    t1 = np.tensordot(u, cu, axes=([0, 3], [0, 3]))
-    i0 = d1 * d2 * d2 + float(np.vdot(t0, t0).real)
-    i1 = d1 * d1 * d2 + float(np.vdot(t1, t1).real)
+    u = stack.reshape(-1, d1, d2, d1, d2)
+    n = u.shape[0]
+    # I0: contract over the d2 indices of each copy -> matrix indexed by d1 index pairs
+    a0 = u.transpose(0, 1, 3, 2, 4).reshape(n, d1 * d1, d2 * d2)
+    # I1: contract over the d1 indices of each copy -> matrix indexed by d2 index pairs
+    a1 = u.transpose(0, 2, 3, 1, 4).reshape(n, d2 * d1, d1 * d2)
+    i0 = d1 * d2 * d2 + _frobenius2(a0 @ a0.conj().transpose(0, 2, 1))
+    i1 = d1 * d1 * d2 + _frobenius2(a1 @ a1.conj().transpose(0, 2, 1))
     return i0, i1
 
 
-def ep_value(matrix: np.ndarray, part: Bipartition) -> float:
-    """Closed-form entangling power of an (unvalidated) unitary matrix.
+def _frobenius2(t: np.ndarray) -> np.ndarray:
+    flat = t.reshape(t.shape[0], -1)
+    return np.vecdot(flat, flat).real
 
-    Fast path used by optimization and sampling loops; :func:`ep_closed` wraps
-    it with validation and a full report.
-    """
-    i0, i1 = _i0_i1(matrix, part)
+
+def _closed_form(i0, i1, part: Bipartition):
     return 1.0 - _c(part.d1) * _c(part.d2) * (i0 + i1)
+
+
+def ep_values(stack: np.ndarray, part: Bipartition) -> np.ndarray:
+    """Closed-form entangling power of a stack of (unvalidated) unitaries, ``(N, n, n) -> (N,)``.
+
+    The one closed-form kernel: :func:`ep_value` and :func:`ep_closed` are its
+    ``N = 1`` case (a single ``(n, n)`` matrix counts as a stack of one), and
+    sampling loops call it on whole stacks of gates.
+    """
+    return _closed_form(*_i0_i1(stack, part), part)
+
+
+def ep_value(matrix: np.ndarray, part: Bipartition) -> float:
+    """Closed-form entangling power of one (unvalidated) unitary matrix.
+
+    The ``N = 1`` case of :func:`ep_values`, bit for bit; used by optimization
+    loops.  :func:`ep_closed` adds validation and a full report.
+    """
+    return float(ep_values(matrix, part)[0])
 
 
 def _report(value: float, i0: float, i1: float, part: Bipartition, method: str,
@@ -162,9 +180,8 @@ def _report(value: float, i0: float, i1: float, part: Bipartition, method: str,
 def ep_closed(gate: UnitaryGate) -> EntanglingPowerReport:
     """Entangling power via the closed form ``1 - C_{d1} C_{d2} (I_0 + I_1)``."""
     part = gate.part
-    i0, i1 = _i0_i1(gate.matrix, part)
-    value = 1.0 - _c(part.d1) * _c(part.d2) * (i0 + i1)
-    return _report(value, i0, i1, part, "closed_form")
+    i0, i1 = (float(t[0]) for t in _i0_i1(gate.matrix, part))
+    return _report(_closed_form(i0, i1, part), i0, i1, part, "closed_form")
 
 
 def ep_dense_oracle(gate: UnitaryGate) -> EntanglingPowerReport:
@@ -224,7 +241,7 @@ def ep_monte_carlo(gate: UnitaryGate, n_samples: int, seed: SeedSpec,
     values = np.concatenate(chunks)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else float("inf")
-    i0, i1 = _i0_i1(gate.matrix, part)
+    i0, i1 = (float(t[0]) for t in _i0_i1(gate.matrix, part))
     return _report(mean, i0, i1, part, "monte_carlo", mc_samples=n_samples, mc_stderr=stderr)
 
 
@@ -297,15 +314,22 @@ def _map_ordered(fn, items, threads: int | None):
 
 
 def resolve_threads(threads: int | None) -> int:
-    """Worker count: explicit argument, else the ENTPOW_THREADS variable, else 1."""
-    if threads is not None:
-        return max(1, int(threads))
-    import os
+    """Worker count: explicit argument, else the ENTPOW_THREADS variable, else 1.
 
-    env = os.environ.get("ENTPOW_THREADS")
-    if env:
+    A count below 1, from either source, is a :class:`ValidationError`.
+    """
+    source = "threads"
+    if threads is None:
+        import os
+
+        env = os.environ.get("ENTPOW_THREADS")
+        if not env:
+            return 1
+        source = "ENTPOW_THREADS"
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise ValidationError(f"ENTPOW_THREADS must be an integer, got {env!r}") from None
-    return 1
+    if threads < 1:
+        raise ValidationError(f"{source} must be >= 1, got {threads}")
+    return int(threads)

@@ -78,11 +78,18 @@ def haar_unitary(n: int, seed: SeedSpec) -> np.ndarray:
     return _haar_unitary_from(seed.generator(), n)
 
 
-def _haar_unitary_from(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = _complex_normal(rng, (n, n)) / np.sqrt(2.0)
+def _haar_unitary_from(rng: np.random.Generator, n: int, count: int | None = None) -> np.ndarray:
+    """One ``(n, n)`` Haar unitary, or a ``(count, n, n)`` stack of them, from ``rng``.
+
+    Each matrix takes its real then its imaginary Gaussian block from the
+    stream, so a stack of ``count`` equals ``count`` successive single draws
+    bit for bit.
+    """
+    g = rng.standard_normal((2, n, n) if count is None else (count, 2, n, n))
+    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def product_state_pair(part: Bipartition, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -98,19 +98,16 @@ def maximize_ep(cfg: OptimizeConfig, threads: int | None = None) -> OptimizeResu
     results = _map_ordered(lambda r: _climb(cfg, r), list(range(cfg.restarts)), threads)
 
     best_val = -math.inf
-    best_matrix = results[0][1]
     merged: list[tuple[int, float]] = []
     offset = 0
-    total_evals = 0
-    for val, matrix, local, evals in results:
+    for _, _, local, evals in results:
         for it, v in local:
             if v > best_val:
                 best_val = v
                 merged.append((offset + it, v))
-        if val > ep_value(best_matrix, cfg.part):
-            best_matrix = matrix
         offset += evals
-        total_evals += evals
+    # max keeps the first of equal values, i.e. the earliest restart
+    best_matrix = max(results, key=lambda r: r[0])[1]
 
     gate = UnitaryGate(best_matrix, cfg.part)
     bound = upper_bound(cfg.part)
@@ -119,7 +116,7 @@ def maximize_ep(cfg: OptimizeConfig, threads: int | None = None) -> OptimizeResu
         best_gate=gate,
         bound=bound,
         gap_to_bound=bound - best_val,
-        iterations_used=total_evals,
+        iterations_used=offset,
         trace=merged,
     )
 

@@ -153,6 +153,24 @@ class TestOptimize:
         assert first.read_bytes() == second.read_bytes()
 
 
+class TestReplaySquareGates:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--gate", "swap", "--d1", "3", "--d2", "3"],
+        ["mc", "--gate", "controlled-clock", "--d1", "3", "--d2", "3", "--samples", "500"],
+    ])
+    def test_square_gate_given_by_d1_d2_replays(self, capsys, tmp_path, argv):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        code, _ = run(capsys, *argv, "--out", str(first))
+        assert code == EXIT_OK
+        code, _ = run(capsys, "replay", str(first) + ".manifest.json", "--out", str(second))
+        assert code == EXIT_OK
+        assert first.read_bytes() == second.read_bytes()
+        recorded = json.loads((tmp_path / "a.json.manifest.json").read_text())["parameters"]
+        replayed = json.loads((tmp_path / "b.json.manifest.json").read_text())["parameters"]
+        assert {k: v for k, v in recorded.items() if k != "out"} == \
+               {k: v for k, v in replayed.items() if k != "out"}
+
+
 class TestVerify:
     def test_fresh_build_passes(self, capsys):
         code, out = run(capsys, "verify")
@@ -197,3 +215,20 @@ class TestExitCodes:
         monkeypatch.setenv("ENTPOW_THREADS", "soon")
         code = main(["mc", "--gate", "cnot", "--samples", "50"])
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_nonpositive_threads_rejected(self, capsys, tmp_path, value):
+        out = tmp_path / "h.csv"
+        code = main(["dist", "--d", "2", "--samples", "50", "--threads", value, "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_env_threads_rejected(self, capsys, monkeypatch, tmp_path, value):
+        monkeypatch.setenv("ENTPOW_THREADS", value)
+        out = tmp_path / "h.csv"
+        assert main(["dist", "--d", "2", "--samples", "50", "--out", str(out)]) == EXIT_VALIDATION
+        assert "ENTPOW_THREADS must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["optimize", "--d", "2", "--restarts", "1", "--iters", "10"]) == EXIT_VALIDATION

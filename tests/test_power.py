@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from entpow import (Bipartition, DimensionError, SeedSpec, UnitaryGate, ValidationError,
-                    ep_closed, ep_dense_oracle, ep_monte_carlo, ep_on_states, ep_value,
+                    ep_closed, ep_dense_oracle, ep_monte_carlo, ep_on_states, ep_value, ep_values,
                     haar_gate, haar_mean, haar_unitary, kron, linear_entropy,
                     make_basis_permutation, make_cnot, make_identity, make_swap,
                     max_linear_entropy, partial_trace, swap_symmetric_ep, upper_bound)
@@ -98,6 +98,62 @@ class TestClosedForm:
         assert_allclose(r.gap_to_bound, 1 / 3 - 2 / 9)
 
 
+def tensordot_i0_i1(m, part):
+    """The closed-form traces through two tensordots and vdot, one gate at a time."""
+    d1, d2 = part.d1, part.d2
+    u = m.reshape(d1, d2, d1, d2)
+    t0 = np.tensordot(u, u.conj(), axes=([1, 3], [1, 3]))
+    t1 = np.tensordot(u, u.conj(), axes=([0, 3], [0, 3]))
+    return d1 * d2 * d2 + float(np.vdot(t0, t0).real), d1 * d1 * d2 + float(np.vdot(t1, t1).real)
+
+
+SMALL_PARTS = [Bipartition(d1, d2) for d1 in range(1, 5) for d2 in range(1, 5)]
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("part", SMALL_PARTS, ids=str)
+    def test_matches_tensordot_reference_bit_for_bit(self, part):
+        stack = np.stack([haar_unitary(part.dim, SeedSpec(41, k)) for k in range(40)])
+        c = 1.0 / (part.d1 * (part.d1 + 1)) * (1.0 / (part.d2 * (part.d2 + 1)))
+        ref = np.array([1.0 - c * sum(tensordot_i0_i1(m, part)) for m in stack])
+        got = ep_values(stack, part)
+        if (part.d1, part.d2) == (3, 1):
+            # With d2 = 1 the I0 product has one inner term.  For 9 rows np.dot
+            # and the batched matmul round that single product differently, so
+            # values that are exactly 0 differ in the last bit.
+            assert np.abs(got - ref).max() <= 1e-15 and np.abs(got).max() <= 1e-15
+        else:
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("part", SMALL_PARTS, ids=str)
+    def test_report_traces_match_reference(self, part):
+        exact = (part.d1, part.d2) != (3, 1)     # see the value test
+        for k in range(10):
+            g = haar_gate(part, SeedSpec(42, k))
+            r = ep_closed(g)
+            ref = tensordot_i0_i1(g.matrix, part)
+            if exact:
+                assert (r.i0, r.i1) == ref
+            else:
+                assert_allclose((r.i0, r.i1), ref, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("part", PARTS + [Bipartition(1, 3), Bipartition(3, 1)], ids=str)
+    def test_single_gate_is_the_stack_of_one(self, part):
+        stack = np.stack([haar_unitary(part.dim, SeedSpec(43, k)) for k in range(25)])
+        values = ep_values(stack, part)
+        for m, v in zip(stack, values):
+            assert ep_value(m, part) == ep_values(m[None], part)[0] == v
+            assert ep_closed(UnitaryGate(m, part)).value == v
+
+    def test_shape_and_real_input(self):
+        part = Bipartition(2, 3)
+        tables = [np.random.default_rng(k).permutation(6) for k in range(5)]
+        perms = np.stack([make_basis_permutation(part, t).matrix for t in tables])
+        values = ep_values(perms.real, part)
+        assert values.shape == (5,) and values.dtype == np.float64
+        assert_allclose(values, [ep_closed(UnitaryGate(m, part)).value for m in perms], atol=1e-15)
+
+
 class TestDenseOracle:
     def test_identity_and_cnot(self):
         assert abs(ep_dense_oracle(make_identity(P22)).value) < 1e-12
@@ -141,6 +197,11 @@ class TestMonteCarlo:
         b = ep_monte_carlo(g, 3000, SeedSpec(12))
         c = ep_monte_carlo(g, 3000, SeedSpec(12), threads=4)
         assert a.value == b.value == c.value
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_nonpositive_threads(self, threads):
+        with pytest.raises(ValidationError, match="threads must be >= 1"):
+            ep_monte_carlo(make_cnot(), 100, SeedSpec(1), threads=threads)
 
     def test_rejects_no_samples(self):
         with pytest.raises(ValidationError):

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from entpow import Bipartition, DimensionError, SeedSpec, ValidationError, haar_state, haar_unitary, kron, linear_entropy, product_state_pair
-from entpow.sampling import block_sizes, product_state_block
+from entpow.sampling import _haar_unitary_from, block_sizes, product_state_block
 
 
 def _moment(fn, d, n, seed):
@@ -108,6 +108,37 @@ class TestHaarUnitary:
         ])
         stderr = vals.std(ddof=1) / np.sqrt(samples)
         assert abs(vals.mean() - oracle) < 3 * stderr
+
+
+def per_matrix_draw(rng, n):
+    """The one-matrix Ginibre recipe: real block, imaginary block, QR, phase fix."""
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+class TestStackedHaarDraw:
+    @pytest.mark.parametrize("n", [1, 2, 4, 6, 9, 12])
+    def test_stack_equals_successive_draws(self, n):
+        # two sub-stacks of 5 and 3 from one stream, then a single draw
+        rng = SeedSpec(61, n).generator()
+        stacked = np.concatenate([_haar_unitary_from(rng, n, 5), _haar_unitary_from(rng, n, 3),
+                                  _haar_unitary_from(rng, n)[None]])
+        ref_rng = SeedSpec(61, n).generator()
+        singles = np.stack([per_matrix_draw(ref_rng, n) for _ in range(9)])
+        assert stacked.shape == (9, n, n)
+        assert_array_equal(stacked, singles)
+        assert_array_equal(stacked[0], haar_unitary(n, SeedSpec(61, n)))
+
+    def test_single_draw_is_two_dimensional(self):
+        rng = SeedSpec(62).generator()
+        assert _haar_unitary_from(rng, 3).shape == (3, 3)
+        assert _haar_unitary_from(rng, 3, 1).shape == (1, 3, 3)
+
+    def test_stack_is_unitary(self):
+        u = _haar_unitary_from(SeedSpec(63).generator(), 5, 20)
+        assert np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(5)).max() < 1e-12
 
 
 class TestProductStatePair:

@@ -40,6 +40,8 @@ class TestMaximizeEp:
     def test_best_gate_consistent_with_value(self):
         res = maximize_ep(quick_config(P22))
         assert abs(ep_closed(res.best_gate).value - res.best_value) < 1e-10
+        # the gate is the best restart's own matrix, so its value is the best value exactly
+        assert ep_value(res.best_gate.matrix, P22) == res.best_value
 
     def test_respects_bound(self):
         for part in [P22, Bipartition(2, 3)]:
