@@ -5,7 +5,7 @@ Commands
 eval      closed-form (or dense-oracle) entangling power of a named or file gate
 mc        Monte Carlo estimate next to the closed-form value
 dist      histogram of entangling power over Haar-random gates (CSV)
-optimize  hill-climb maximization; writes the best gate as JSON
+optimize  gradient-ascent maximization; writes the best gate as JSON
 verify    run the analytic identity suite
 replay    re-run the command recorded in a manifest file
 
@@ -209,10 +209,7 @@ def cmd_optimize(args) -> int:
     d1, d2 = _dims_from_args(args)
     part = Bipartition(d1, d2)
     seed = _seed_from_args(args)
-    cfg = OptimizeConfig(
-        part=part, seed=seed, restarts=args.restarts, max_iters=args.iters,
-        initial_step=args.step, step_decay=args.decay,
-    )
+    cfg = OptimizeConfig(part=part, seed=seed, restarts=args.restarts, max_iters=args.iters)
     result = maximize_ep(cfg, threads=args.threads)
     print(f"bipartition   : {part}")
     print(f"best_value    = {result.best_value:.9f}")
@@ -225,8 +222,8 @@ def cmd_optimize(args) -> int:
             command="optimize",
             part={"d1": d1, "d2": d2},
             seed={"master_seed": seed.master_seed, "stream_index": seed.stream_index},
-            parameters={"restarts": args.restarts, "iters": args.iters, "step": args.step,
-                        "decay": args.decay, "threads": args.threads, "out": args.out},
+            parameters={"restarts": args.restarts, "iters": args.iters,
+                        "threads": args.threads, "out": args.out},
             wall_time=time.perf_counter() - started,
         )
         manifest.write(Path(args.out))
@@ -255,6 +252,11 @@ def cmd_replay(args) -> int:
     params = dict(manifest.get("parameters", {}))
     part = manifest.get("part", {})
     seed = manifest.get("seed", {})
+    if command == "optimize" and ("step" in params or "decay" in params):
+        raise ValidationError(
+            f"manifest {args.manifest} records --step/--decay of the former hill-climb "
+            "optimizer, which gradient ascent replaced; its gate cannot be reproduced"
+        )
     if args.out:
         params["out"] = args.out
     argv = [command]
@@ -264,7 +266,7 @@ def cmd_replay(args) -> int:
             argv += [f"--{key}", str(params[key])]
     if command in ("dist", "optimize"):
         argv += ["--d1", str(part.get("d1")), "--d2", str(part.get("d2"))]
-    for key in ("samples", "bins", "restarts", "iters", "step", "decay", "method"):
+    for key in ("samples", "bins", "restarts", "iters", "method"):
         if params.get(key) is not None:
             argv += [f"--{key}", str(params[key])]
     argv += ["--seed", str(seed.get("master_seed", 0)), "--stream", str(seed.get("stream_index", 0))]
@@ -321,15 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("optimize", help="maximize entangling power by hill climbing")
+    p = sub.add_parser("optimize", help="maximize entangling power by gradient ascent on U(n)")
     p.add_argument("--d", type=int, help="square bipartition shortcut")
     p.add_argument("--d1", type=int)
     p.add_argument("--d2", type=int)
     _add_seed_args(p)
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--iters", type=int, default=4000)
-    p.add_argument("--step", type=float, default=0.8, help="initial perturbation step")
-    p.add_argument("--decay", type=float, default=0.995, help="step decay on rejection")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", help="write the best gate in the JSON matrix format")
     p.set_defaults(func=cmd_optimize)

@@ -120,13 +120,13 @@ def linear_entropy(state: np.ndarray, part: Bipartition) -> float:
     return 1.0 - float(np.trace(rho @ rho).real)
 
 
-def _i0_i1(stack: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
-    """The two exchange-operator traces entering the closed form, for a stack of gates.
+def _rearranged(stack: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
+    """The rearrangements ``A0``, ``A1`` of each gate whose ``A A^dag`` enter the two traces.
 
-    With ``u`` each gate reshaped to four indices (row pair, column pair), each
-    trace contracts two copies of ``u`` against two conjugated copies; pairing
-    the copies first reduces both to squared Frobenius norms of ``A A^dag``,
-    one batched matrix product per trace, at cost O((d1 d2)^3) per gate.
+    With ``u`` each gate reshaped to four indices (row pair, column pair),
+    ``A0`` pairs the ``d1`` indices and ``A1`` the ``d2`` indices, so that
+    contracting two copies of ``u`` against two conjugated copies becomes
+    one matrix product per trace.
     """
     d1, d2 = part.d1, part.d2
     u = stack.reshape(-1, d1, d2, d1, d2)
@@ -135,9 +135,26 @@ def _i0_i1(stack: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.ndarray
     a0 = u.transpose(0, 1, 3, 2, 4).reshape(n, d1 * d1, d2 * d2)
     # I1: contract over the d1 indices of each copy -> matrix indexed by d2 index pairs
     a1 = u.transpose(0, 2, 3, 1, 4).reshape(n, d2 * d1, d1 * d2)
-    i0 = d1 * d2 * d2 + _frobenius2(a0 @ a0.conj().transpose(0, 2, 1))
-    i1 = d1 * d1 * d2 + _frobenius2(a1 @ a1.conj().transpose(0, 2, 1))
-    return i0, i1
+    return a0, a1
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    return a @ a.conj().transpose(0, 2, 1)
+
+
+def _traces(t0: np.ndarray, t1: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
+    d1, d2 = part.d1, part.d2
+    return d1 * d2 * d2 + _frobenius2(t0), d1 * d1 * d2 + _frobenius2(t1)
+
+
+def _i0_i1(stack: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
+    """The two exchange-operator traces entering the closed form, for a stack of gates.
+
+    Each trace is a constant plus the squared Frobenius norm of ``A A^dag``,
+    one batched matrix product per trace, at cost O((d1 d2)^3) per gate.
+    """
+    a0, a1 = _rearranged(stack, part)
+    return _traces(_gram(a0), _gram(a1), part)
 
 
 def _frobenius2(t: np.ndarray) -> np.ndarray:
@@ -166,6 +183,25 @@ def ep_value(matrix: np.ndarray, part: Bipartition) -> float:
     loops.  :func:`ep_closed` adds validation and a full report.
     """
     return float(ep_values(matrix, part)[0])
+
+
+def ep_value_and_grad(matrix: np.ndarray, part: Bipartition) -> tuple[float, np.ndarray]:
+    """Closed-form entangling power of one unitary and its Euclidean gradient.
+
+    The closed form is quartic in ``U``.  With ``T = A A^dag`` for each
+    rearrangement ``A``, ``d||T||^2 = 4 Re tr((T A)^dag dA)``, so in the
+    convention ``de = Re tr(G^dag dU)`` the gradient is
+    ``G = -4 C_{d1} C_{d2} (R0^-1(T0 A0) + R1^-1(T1 A1))``, where ``R^-1``
+    undoes each rearrangement.  The value is :func:`ep_value`'s, bit for bit.
+    """
+    d1, d2 = part.d1, part.d2
+    a0, a1 = _rearranged(matrix, part)
+    t0, t1 = _gram(a0), _gram(a1)
+    value = float(_closed_form(*_traces(t0, t1, part), part)[0])
+    g0 = (t0 @ a0).reshape(d1, d1, d2, d2).transpose(0, 2, 1, 3)
+    g1 = (t1 @ a1).reshape(d2, d1, d1, d2).transpose(2, 0, 1, 3)
+    grad = -4.0 * _c(d1) * _c(d2) * (g0 + g1)
+    return value, grad.reshape(part.dim, part.dim)
 
 
 def _report(value: float, i0: float, i1: float, part: Bipartition, method: str,

@@ -159,11 +159,13 @@ def test_criterion_6_channel_consistency():
 
 
 OPTIMIZER_CASES = [
-    # the 2x2 and 2x3 optima sit strictly below the bound; 2x4 and 3x4 reach it
-    (Bipartition(2, 2), 2 / 9, dict(restarts=8, max_iters=2000, initial_step=0.6, step_decay=0.99)),
-    (Bipartition(2, 3), 1 / 3, dict(restarts=12, max_iters=2500, initial_step=0.6, step_decay=0.99)),
-    (Bipartition(2, 4), 2 / 5, dict(restarts=12, max_iters=6000, initial_step=0.8, step_decay=0.995)),
-    (Bipartition(3, 4), 8 / 15, dict(restarts=6, max_iters=30000, initial_step=1.0, step_decay=0.999)),
+    # the 2x2 and 2x3 optima sit strictly below the bound; 2x4, 3x3, 3x4 and 4x4 reach it
+    (Bipartition(2, 2), 2 / 9, dict(restarts=8, max_iters=2000)),
+    (Bipartition(2, 3), 1 / 3, dict(restarts=12, max_iters=2500)),
+    (Bipartition(2, 4), 2 / 5, dict(restarts=12, max_iters=6000)),
+    (Bipartition(3, 4), 8 / 15, dict(restarts=6, max_iters=30000)),
+    (Bipartition(3, 3), 1 / 2, dict(restarts=6, max_iters=4000)),
+    (Bipartition(4, 4), 3 / 5, dict(restarts=6, max_iters=4000)),
 ]
 
 
@@ -184,8 +186,7 @@ def test_criterion_7_two_qubit_ceiling():
         seed = SeedSpec(10075)
         for i in range(100_000):
             assert ep_value(haar_unitary(4, seed.substream(i)), part) <= ceiling
-        cfg = OptimizeConfig(part=part, seed=SeedSpec(1007), restarts=8, max_iters=2000,
-                             initial_step=0.6, step_decay=0.99)
+        cfg = OptimizeConfig(part=part, seed=SeedSpec(1007), restarts=8, max_iters=2000)
         result = maximize_ep(cfg)
         # strict-greater acceptance makes best_value the max over every candidate evaluated
         assert result.best_value <= ceiling

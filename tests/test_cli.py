@@ -152,6 +152,32 @@ class TestOptimize:
         assert code == EXIT_OK
         assert first.read_bytes() == second.read_bytes()
 
+    def test_manifest_records_no_step_knobs(self, capsys, tmp_path):
+        out = tmp_path / "best.json"
+        run(capsys, "optimize", "--d", "2", "--restarts", "1", "--iters", "20", "--out", str(out))
+        params = json.loads((tmp_path / "best.json.manifest.json").read_text())["parameters"]
+        assert set(params) == {"restarts", "iters", "threads", "out"}
+
+    def test_hill_climb_manifest_does_not_replay(self, capsys, tmp_path):
+        # a manifest written before gradient ascent replaced the hill climb
+        manifest = tmp_path / "old.json.manifest.json"
+        manifest.write_text(json.dumps({
+            "command": "optimize", "part": {"d1": 2, "d2": 2},
+            "seed": {"master_seed": 11, "stream_index": 0},
+            "parameters": {"restarts": 2, "iters": 200, "step": 0.8, "decay": 0.995,
+                           "threads": None, "out": str(tmp_path / "old.json")},
+            "tool_version": "0.1.0", "wall_time": 0.1,
+        }))
+        code = main(["replay", str(manifest)])
+        assert code == EXIT_VALIDATION
+        assert "--step/--decay" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json.manifest.json"]
+
+    def test_step_flags_are_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--d", "2", "--step", "0.5"])
+        assert exc.value.code == 2
+
 
 class TestReplaySquareGates:
     @pytest.mark.parametrize("argv", [

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from entpow.power import ep_value_and_grad
+
 from entpow import (Bipartition, DimensionError, SeedSpec, UnitaryGate, ValidationError,
                     ep_closed, ep_dense_oracle, ep_monte_carlo, ep_on_states, ep_value, ep_values,
                     haar_gate, haar_mean, haar_unitary, kron, linear_entropy,
@@ -152,6 +154,29 @@ class TestStackedKernel:
         values = ep_values(perms.real, part)
         assert values.shape == (5,) and values.dtype == np.float64
         assert_allclose(values, [ep_closed(UnitaryGate(m, part)).value for m in perms], atol=1e-15)
+
+
+class TestGradient:
+    @pytest.mark.parametrize("part", SMALL_PARTS, ids=str)
+    def test_matches_finite_differences(self, part):
+        rng = np.random.default_rng(part.dim)
+        h = 1e-6
+        for k in range(3):
+            u = haar_unitary(part.dim, SeedSpec(44, k))
+            value, grad = ep_value_and_grad(u, part)
+            assert value == ep_value(u, part)
+            for _ in range(4):
+                dz = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+                dz /= np.linalg.norm(dz)
+                slope = (ep_value(u + h * dz, part) - ep_value(u - h * dz, part)) / (2 * h)
+                # convention de = Re tr(G^dag dU)
+                assert abs(slope - np.vdot(grad, dz).real) <= 1e-8
+
+    def test_vanishes_on_the_tangent_space_at_the_cnot_optimum(self):
+        u = make_cnot().matrix
+        _, grad = ep_value_and_grad(u, P22)
+        omega = grad @ u.conj().T - u @ grad.conj().T
+        assert np.abs(omega).max() <= 1e-14
 
 
 class TestDenseOracle:

@@ -1,8 +1,12 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+import entpow.search
 from entpow import (Bipartition, OptimizeConfig, ResourceLimitError, SeedSpec,
-                    ep_closed, ep_value, exhaustive_permutation_max,
+                    ValidationError, ep_closed, ep_value, exhaustive_permutation_max,
                     make_additive_permutation, make_basis_permutation, make_cnot,
                     maximize_ep, upper_bound)
 
@@ -10,8 +14,7 @@ P22 = Bipartition(2, 2)
 
 
 def quick_config(part, seed=7, restarts=4, iters=800):
-    return OptimizeConfig(part=part, seed=SeedSpec(seed), restarts=restarts,
-                          max_iters=iters, initial_step=0.6, step_decay=0.98)
+    return OptimizeConfig(part=part, seed=SeedSpec(seed), restarts=restarts, max_iters=iters)
 
 
 class TestMaximizeEp:
@@ -66,10 +69,35 @@ class TestMaximizeEp:
         assert res.best_value <= analytic + 1e-9
 
     def test_config_validation(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ValidationError):
             OptimizeConfig(part=P22, seed=SeedSpec(0), restarts=0)
-        with pytest.raises(Exception):
-            OptimizeConfig(part=P22, seed=SeedSpec(0), step_decay=1.5)
+        with pytest.raises(ValidationError):
+            OptimizeConfig(part=P22, seed=SeedSpec(0), tolerance=0)
+
+    def test_every_candidate_is_unitary(self, monkeypatch):
+        # accepted iterates are ladder candidates, so checking every candidate covers them
+        stacks = []
+        real_ep_values = entpow.search.ep_values
+
+        def recording(stack, part):
+            stacks.append(stack.copy())
+            return real_ep_values(stack, part)
+
+        monkeypatch.setattr(entpow.search, "ep_values", recording)
+        part = Bipartition(2, 3)
+        res = maximize_ep(quick_config(part, restarts=2, iters=300))
+        # one stacked call of the whole ladder per iteration; each start counts as iteration 0
+        assert len(stacks) == res.iterations_used - 2
+        eye = np.eye(part.dim)
+        for st in stacks:
+            assert st.shape == (len(entpow.search.STEP_LADDER), 6, 6)
+            assert np.abs(st.conj().transpose(0, 2, 1) @ st - eye).max() <= 1e-10
+        assert abs(res.best_value - 1 / 3) < 1e-6
+
+    def test_iteration_cap(self):
+        res = maximize_ep(quick_config(Bipartition(3, 3), restarts=2, iters=3))
+        assert res.iterations_used == 2 * (3 + 1)
+        assert all(it <= 7 for it, _ in res.trace)
 
 
 class TestExhaustivePermutations:
@@ -95,6 +123,20 @@ class TestExhaustivePermutations:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             exhaustive_permutation_max(Bipartition(3, 3))
+
+    @pytest.mark.parametrize("part", [Bipartition(1, 3), P22, Bipartition(2, 3), Bipartition(3, 2)],
+                             ids=str)
+    def test_stacked_search_matches_per_table_loop(self, part):
+        # 2x3 spans several sub-stacks of 113 tables, so ties across sub-stack boundaries count
+        n = part.dim
+        best, best_table = -math.inf, None
+        for table in itertools.permutations(range(n)):
+            m = np.zeros((n, n))
+            m[table, np.arange(n)] = 1.0
+            val = ep_value(m, part)
+            if val > best + 1e-12:
+                best, best_table = val, table
+        assert exhaustive_permutation_max(part) == (best, best_table)
 
     def test_never_exceeds_bound(self):
         best, _ = exhaustive_permutation_max(Bipartition(2, 4))
