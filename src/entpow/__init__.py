@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 
 from .channels import KrausFamily, kraus_from_unitary, partial_ep, partial_ep_bound, unitality_gap
 from .errors import DimensionError, ResourceLimitError, ValidationError
-from .gates import (GateSpec, clock_matrix, load_gate, make_additive_permutation,
+from .gates import (clock_matrix, load_gate, make_additive_permutation,
                     make_basis_permutation, make_bilocal, make_cnot,
                     make_controlled_family, make_identity, make_swap, save_gate,
                     shift_matrix)
@@ -21,7 +21,7 @@ from .spectrum import Histogram, monotonicity_score, sample_q
 from .tensorops import Bipartition, antisym_projector_13, kron, pair_exchange, partial_trace
 
 __all__ = [
-    "Bipartition", "DimensionError", "EntanglingPowerReport", "GateSpec", "Histogram",
+    "Bipartition", "DimensionError", "EntanglingPowerReport", "Histogram",
     "KrausFamily", "OptimizeConfig", "OptimizeResult", "ResourceLimitError", "SeedSpec",
     "UnitaryGate", "ValidationError", "antisym_projector_13", "clock_matrix",
     "ep_closed", "ep_dense_oracle", "ep_monte_carlo", "ep_on_states", "ep_value", "ep_values",

@@ -10,9 +10,10 @@ verify    run the analytic identity suite
 replay    re-run the command recorded in a manifest file
 
 Every output file gets a sibling ``<file>.manifest.json`` recording command,
-bipartition, seed, and parameters; replaying the manifest reproduces the
-output bit for bit.  Exit codes: 0 success, 2 validation error, 3 I/O error,
-4 resource cap exceeded.
+bipartition, seed, parameters, and the full command line (``argv``, defaults
+included); replay runs that ``argv`` again and reproduces the output bit for
+bit.  Exit codes: 0 success, 2 validation error, 3 I/O error, 4 resource cap
+exceeded.
 """
 
 import argparse
@@ -23,23 +24,27 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import ResourceLimitError, ValidationError
-from .gates import GateSpec, save_gate, shift_matrix
+from .gates import (load_gate, make_additive_permutation, make_cnot, make_controlled_family,
+                    make_identity, make_swap, save_gate, shift_matrix)
 from .power import (UnitaryGate, ep_closed, ep_dense_oracle, ep_monte_carlo,
                     haar_mean, resolve_threads, upper_bound)
 from .sampling import SeedSpec
 from .search import OptimizeConfig, maximize_ep
 from .selfcheck import run_self_checks
 from .spectrum import sample_q
-from .tensorops import Bipartition
+from .tensorops import DEFAULT_DIM_CAP, Bipartition
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_RESOURCE = 4
 
-_NAMED_GATES = ("identity", "swap", "cnot", "controlled-clock", "controlled-shift", "additive-perm")
+#: commands whose runs write a manifest and can be replayed from it
+REPLAYABLE = ("eval", "mc", "dist", "optimize")
 
 
 @dataclass
@@ -50,6 +55,7 @@ class RunManifest:
     part: dict
     seed: dict
     parameters: dict = field(default_factory=dict)
+    argv: list[str] = field(default_factory=list)
     tool_version: str = __version__
     wall_time: float = 0.0
 
@@ -58,50 +64,74 @@ class RunManifest:
         manifest_path.write_text(json.dumps(asdict(self), indent=2) + "\n")
 
 
-def _gate_spec_from_args(args) -> GateSpec:
-    if args.file:
-        return GateSpec("file", {"path": args.file})
-    name = args.gate
-    if name is None:
-        raise ValidationError("no gate given: use --gate or --file")
-    if name == "cnot":
-        return GateSpec("cnot")
-    if name == "identity":
-        d1, d2 = _dims_from_args(args)
-        return GateSpec("identity", {"d1": d1, "d2": d2})
-    if name == "swap":
-        return GateSpec("swap", {"d": _square_dim_from_args(args)})
-    if name == "controlled-clock":
-        return GateSpec("controlled_family", {"d": _square_dim_from_args(args)})
-    if name == "controlled-shift":
-        d = _square_dim_from_args(args)
-        import numpy as np
-
-        fam = [np.linalg.matrix_power(shift_matrix(d), a) for a in range(d)]
-        return GateSpec("controlled_family", {"d": d, "unitaries": fam})
-    if name == "additive-perm":
-        return GateSpec("additive_permutation", {"d": _square_dim_from_args(args)})
-    raise ValidationError(f"unknown gate name {name!r}; choices: {', '.join(_NAMED_GATES)}")
-
-
-def _dims_from_args(args) -> tuple[int, int]:
+def _dims_from_args(args, square: bool = False) -> tuple[int, int]:
+    """Factor dimensions from ``--d`` or ``--d1/--d2``; ``d1*d2 > DEFAULT_DIM_CAP`` is refused."""
     if args.d is not None:
-        return args.d, args.d
-    if args.d1 is None or args.d2 is None:
+        d1 = d2 = args.d
+    elif square:
+        if args.d1 is None or args.d1 != args.d2:
+            raise ValidationError("this gate needs --d (or equal --d1/--d2)")
+        d1 = d2 = args.d1
+    elif args.d1 is None or args.d2 is None:
         raise ValidationError("this gate needs --d or both --d1 and --d2")
-    return args.d1, args.d2
+    else:
+        d1, d2 = args.d1, args.d2
+    # dimensions below 1 are left to the constructors, which name them in their own errors
+    if d1 >= 1 and d2 >= 1 and d1 * d2 > DEFAULT_DIM_CAP:
+        raise ResourceLimitError(f"d1*d2 = {d1 * d2} exceeds the cap of {DEFAULT_DIM_CAP}")
+    return d1, d2
 
 
 def _square_dim_from_args(args) -> int:
-    if args.d is not None:
-        return args.d
-    if args.d1 is not None and args.d1 == args.d2:
-        return args.d1
-    raise ValidationError("this gate needs --d (or equal --d1/--d2)")
+    return _dims_from_args(args, square=True)[0]
 
 
-def _gate_params_for_manifest(args) -> dict:
-    return {"gate": args.gate, "file": args.file, "d": args.d, "d1": args.d1, "d2": args.d2}
+def _controlled_shift(args) -> UnitaryGate:
+    d = _square_dim_from_args(args)
+    return make_controlled_family(d, [np.linalg.matrix_power(shift_matrix(d), a) for a in range(d)])
+
+
+#: ``--gate`` name -> constructor from the parsed arguments
+GATES = {
+    "identity": lambda args: make_identity(Bipartition(*_dims_from_args(args))),
+    "swap": lambda args: make_swap(_square_dim_from_args(args)),
+    "cnot": lambda args: make_cnot(),
+    "controlled-clock": lambda args: make_controlled_family(_square_dim_from_args(args)),
+    "controlled-shift": _controlled_shift,
+    "additive-perm": lambda args: make_additive_permutation(_square_dim_from_args(args)),
+}
+
+
+def _gate_from_args(args) -> UnitaryGate:
+    if args.file:
+        return load_gate(args.file)
+    if args.gate is None:
+        raise ValidationError("no gate given: use --gate or --file")
+    return GATES[args.gate](args)
+
+
+def _write_manifest(args, part: Bipartition, started: float) -> None:
+    """Write ``<out>.manifest.json`` for a run of ``args.command``.
+
+    ``argv`` is the command plus ``--<dest> <value>`` for every option that is
+    set, defaults included, so replaying it re-runs the same command.
+    ``parameters`` holds the options except the seed, recorded under ``seed``,
+    and, for commands without a gate, the dimensions, recorded under ``part``.
+    """
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    argv = [args.command]
+    for key, value in options.items():
+        if value is not None:
+            argv += [f"--{key}", str(value)]
+    recorded_elsewhere = {"seed", "stream"} | (set() if "gate" in options else {"d", "d1", "d2"})
+    RunManifest(
+        command=args.command,
+        part={"d1": part.d1, "d2": part.d2},
+        seed={"master_seed": args.seed, "stream_index": args.stream},
+        parameters={k: v for k, v in options.items() if k not in recorded_elsewhere},
+        argv=argv,
+        wall_time=time.perf_counter() - started,
+    ).write(Path(args.out))
 
 
 def _seed_from_args(args) -> SeedSpec:
@@ -133,25 +163,18 @@ def _report_json(report) -> dict:
 
 def cmd_eval(args) -> int:
     started = time.perf_counter()
-    gate = _gate_spec_from_args(args).resolve()
+    gate = _gate_from_args(args)
     report = ep_dense_oracle(gate) if args.method == "oracle" else ep_closed(gate)
     _print_report(gate, report)
     if args.out:
         Path(args.out).write_text(json.dumps(_report_json(report), indent=2) + "\n")
-        manifest = RunManifest(
-            command="eval",
-            part={"d1": gate.d1, "d2": gate.d2},
-            seed={"master_seed": args.seed, "stream_index": args.stream},
-            parameters={**_gate_params_for_manifest(args), "method": args.method, "out": args.out},
-            wall_time=time.perf_counter() - started,
-        )
-        manifest.write(Path(args.out))
+        _write_manifest(args, gate.part, started)
     return EXIT_OK
 
 
 def cmd_mc(args) -> int:
     started = time.perf_counter()
-    gate = _gate_spec_from_args(args).resolve()
+    gate = _gate_from_args(args)
     seed = _seed_from_args(args)
     mc = ep_monte_carlo(gate, args.samples, seed, threads=args.threads)
     closed = ep_closed(gate)
@@ -163,22 +186,13 @@ def cmd_mc(args) -> int:
     if args.out:
         payload = {"monte_carlo": _report_json(mc), "closed_form": _report_json(closed)}
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        manifest = RunManifest(
-            command="mc",
-            part={"d1": gate.d1, "d2": gate.d2},
-            seed={"master_seed": seed.master_seed, "stream_index": seed.stream_index},
-            parameters={**_gate_params_for_manifest(args), "samples": args.samples,
-                        "threads": args.threads, "out": args.out},
-            wall_time=time.perf_counter() - started,
-        )
-        manifest.write(Path(args.out))
+        _write_manifest(args, gate.part, started)
     return EXIT_OK
 
 
 def cmd_dist(args) -> int:
     started = time.perf_counter()
-    d1, d2 = _dims_from_args(args)
-    part = Bipartition(d1, d2)
+    part = Bipartition(*_dims_from_args(args))
     seed = _seed_from_args(args)
     hist = sample_q(part, args.samples, args.bins, seed, threads=args.threads)
     out = Path(args.out)
@@ -189,15 +203,7 @@ def cmd_dist(args) -> int:
         for i in range(len(hist.counts)):
             writer.writerow([f"{hist.bin_edges[i]:.12g}", f"{hist.bin_edges[i + 1]:.12g}",
                              int(hist.counts[i]), f"{densities[i]:.12g}"])
-    manifest = RunManifest(
-        command="dist",
-        part={"d1": d1, "d2": d2},
-        seed={"master_seed": seed.master_seed, "stream_index": seed.stream_index},
-        parameters={"samples": args.samples, "bins": args.bins,
-                    "threads": args.threads, "out": args.out},
-        wall_time=time.perf_counter() - started,
-    )
-    manifest.write(out)
+    _write_manifest(args, part, started)
     print(f"wrote {out} ({args.bins} bins, {args.samples} samples)")
     print(f"empirical_mean = {hist.empirical_mean:.6f}  (haar mean {haar_mean(part):.6f})")
     print(f"empirical_max  = {hist.empirical_max:.6f}  (upper bound {upper_bound(part):.6f})")
@@ -206,8 +212,7 @@ def cmd_dist(args) -> int:
 
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
-    d1, d2 = _dims_from_args(args)
-    part = Bipartition(d1, d2)
+    part = Bipartition(*_dims_from_args(args))
     seed = _seed_from_args(args)
     cfg = OptimizeConfig(part=part, seed=seed, restarts=args.restarts, max_iters=args.iters)
     result = maximize_ep(cfg, threads=args.threads)
@@ -218,21 +223,13 @@ def cmd_optimize(args) -> int:
     print(f"iterations    = {result.iterations_used}")
     if args.out:
         save_gate(result.best_gate, args.out)
-        manifest = RunManifest(
-            command="optimize",
-            part={"d1": d1, "d2": d2},
-            seed={"master_seed": seed.master_seed, "stream_index": seed.stream_index},
-            parameters={"restarts": args.restarts, "iters": args.iters,
-                        "threads": args.threads, "out": args.out},
-            wall_time=time.perf_counter() - started,
-        )
-        manifest.write(Path(args.out))
+        _write_manifest(args, part, started)
         print(f"wrote best gate to {args.out}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    extra = GateSpec("file", {"path": args.file}).resolve() if args.file else None
+    extra = load_gate(args.file) if args.file else None
     results = run_self_checks(extra_gate=extra)
     failed = 0
     for r in results:
@@ -248,35 +245,33 @@ def cmd_replay(args) -> int:
         manifest = json.loads(Path(args.manifest).read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"manifest {args.manifest} is not valid JSON: {exc}") from exc
-    command = manifest.get("command")
-    params = dict(manifest.get("parameters", {}))
-    part = manifest.get("part", {})
-    seed = manifest.get("seed", {})
-    if command == "optimize" and ("step" in params or "decay" in params):
+    if not isinstance(manifest, dict):
+        raise ValidationError(f"manifest {args.manifest} is not a JSON object")
+    params = manifest.get("parameters")
+    if (manifest.get("command") == "optimize" and isinstance(params, dict)
+            and ("step" in params or "decay" in params)):
         raise ValidationError(
             f"manifest {args.manifest} records --step/--decay of the former hill-climb "
             "optimizer, which gradient ascent replaced; its gate cannot be reproduced"
         )
-    if args.out:
-        params["out"] = args.out
-    argv = [command]
-    # eval and mc record their gate arguments as given; dist and optimize only the bipartition
-    for key in ("gate", "file", "d", "d1", "d2"):
-        if params.get(key) is not None:
-            argv += [f"--{key}", str(params[key])]
-    if command in ("dist", "optimize"):
-        argv += ["--d1", str(part.get("d1")), "--d2", str(part.get("d2"))]
-    for key in ("samples", "bins", "restarts", "iters", "method"):
-        if params.get(key) is not None:
-            argv += [f"--{key}", str(params[key])]
-    argv += ["--seed", str(seed.get("master_seed", 0)), "--stream", str(seed.get("stream_index", 0))]
-    if params.get("out"):
-        argv += ["--out", str(params["out"])]
-    return main(argv)
+    if "argv" not in manifest:
+        raise ValidationError(
+            f"manifest {args.manifest} records no argv; it was written before manifests "
+            "recorded their command line, so re-run the command to get a replayable one"
+        )
+    argv = manifest["argv"]
+    if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
+        raise ValidationError(f"manifest {args.manifest}: argv must be a list of strings")
+    if not argv or argv[0] not in REPLAYABLE:
+        raise ValidationError(
+            f"manifest {args.manifest}: argv must start with one of {', '.join(REPLAYABLE)}"
+        )
+    # argparse keeps the last occurrence, so an appended --out overrides the recorded one
+    return main(argv + (["--out", args.out] if args.out else []))
 
 
 def _add_gate_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gate", choices=_NAMED_GATES, help="named gate family")
+    p.add_argument("--gate", choices=list(GATES), help="named gate family")
     p.add_argument("--file", help="gate file in the JSON matrix format")
     p.add_argument("--d", type=int, help="factor dimension for square-bipartition gates")
     p.add_argument("--d1", type=int, help="first factor dimension")

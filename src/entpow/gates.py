@@ -10,14 +10,13 @@ Values worth remembering (and enforced in the tests):
 """
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ResourceLimitError, ValidationError
 from .power import UnitaryGate
-from .tensorops import Bipartition, ensure_finite, kron
+from .tensorops import DEFAULT_DIM_CAP, Bipartition, ensure_finite, kron, permutation_matrix
 
 #: tolerance for the pairwise Hilbert-Schmidt orthogonality check
 HS_ORTHO_ATOL = 1e-8
@@ -33,9 +32,7 @@ def make_swap(d: int) -> UnitaryGate:
     if d < 1:
         raise DimensionError(f"swap dimension must be >= 1, got {d}")
     idx = np.arange(d * d).reshape(d, d)
-    m = np.zeros((d * d, d * d), dtype=complex)
-    m[idx.T.ravel(), np.arange(d * d)] = 1.0
-    return UnitaryGate(m, Bipartition(d, d))
+    return UnitaryGate(permutation_matrix(idx.T.ravel()), Bipartition(d, d))
 
 
 def make_cnot() -> UnitaryGate:
@@ -109,11 +106,8 @@ def make_additive_permutation(d: int) -> UnitaryGate:
         raise ValidationError(
             f"the additive index map is a permutation only for odd d >= 3, got {d}"
         )
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            m[((i + j) % d) * d + ((i - j) % d), i * d + j] = 1.0
-    return UnitaryGate(m, Bipartition(d, d))
+    i, j = np.divmod(np.arange(d * d), d)
+    return make_basis_permutation(Bipartition(d, d), ((i + j) % d) * d + (i - j) % d)
 
 
 def make_bilocal(u1: np.ndarray, u2: np.ndarray) -> UnitaryGate:
@@ -130,9 +124,7 @@ def make_basis_permutation(part: Bipartition, table) -> UnitaryGate:
     n = part.dim
     if sorted(table) != list(range(n)):
         raise ValidationError(f"table is not a bijection on 0..{n - 1}: {table}")
-    m = np.zeros((n, n), dtype=complex)
-    m[np.asarray(table), np.arange(n)] = 1.0
-    return UnitaryGate(m, part)
+    return UnitaryGate(permutation_matrix(table), part)
 
 
 def save_gate(gate: UnitaryGate, path) -> None:
@@ -153,36 +145,13 @@ def load_gate(path) -> UnitaryGate:
         raise ValidationError(f"gate file {path} is not valid JSON: {exc}") from exc
     try:
         part = Bipartition(int(payload["d1"]), int(payload["d2"]))
+        if part.dim > DEFAULT_DIM_CAP:
+            raise ResourceLimitError(
+                f"gate file {path} declares d1*d2 = {part.dim}, above the cap of {DEFAULT_DIM_CAP}"
+            )
         rows = payload["matrix"]
         m = np.array([[complex(entry[0], entry[1]) for entry in row] for row in rows])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"gate file {path} is malformed: {exc}") from exc
     return UnitaryGate(m, part)
 
-
-@dataclass(frozen=True)
-class GateSpec:
-    """A recipe resolving to a concrete gate; usable as a CLI-facing handle."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def resolve(self) -> UnitaryGate:
-        p = self.params
-        if self.kind == "identity":
-            return make_identity(Bipartition(p["d1"], p["d2"]))
-        if self.kind == "swap":
-            return make_swap(p["d"])
-        if self.kind == "cnot":
-            return make_cnot()
-        if self.kind == "controlled_family":
-            return make_controlled_family(p["d"], p.get("unitaries"))
-        if self.kind == "additive_permutation":
-            return make_additive_permutation(p["d"])
-        if self.kind == "basis_permutation":
-            return make_basis_permutation(Bipartition(p["d1"], p["d2"]), p["table"])
-        if self.kind == "bilocal_product":
-            return make_bilocal(p["u1"], p["u2"])
-        if self.kind == "file":
-            return load_gate(p["path"])
-        raise ValidationError(f"unknown gate kind {self.kind!r}")

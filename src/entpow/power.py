@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .sampling import SeedSpec, block_sizes, product_state_block
-from .tensorops import Bipartition, ensure_finite, kron, pair_exchange
+from .tensorops import Bipartition, ensure_finite, kron, pair_exchange, permutation_matrix
 
 #: absolute tolerance for the unitarity check on gate construction
 UNITARY_ATOL = 1e-10
@@ -308,7 +308,7 @@ def swap_symmetric_ep(gate: UnitaryGate) -> float:
     if part.d1 != part.d2:
         raise ValidationError(f"swap-symmetric form requires d1 = d2, got {part}")
     d = part.d1
-    swap = _swap_matrix(d)
+    swap = permutation_matrix(np.arange(d * d).reshape(d, d).T.ravel())
 
     def functional(m: np.ndarray) -> float:
         u = m.reshape(d, d, d, d)
@@ -318,13 +318,6 @@ def swap_symmetric_ep(gate: UnitaryGate) -> float:
 
     c = _c(d)
     return 1.0 - c * c * (functional(gate.matrix) + functional(swap @ gate.matrix))
-
-
-def _swap_matrix(d: int) -> np.ndarray:
-    idx = np.arange(d * d).reshape(d, d)
-    m = np.zeros((d * d, d * d))
-    m[idx.T.ravel(), np.arange(d * d)] = 1.0
-    return m
 
 
 def haar_gate(part: Bipartition, seed: SeedSpec) -> UnitaryGate:

@@ -22,7 +22,7 @@ from .power import (UnitaryGate, _map_ordered, ep_value, ep_value_and_grad, ep_v
                     upper_bound)
 from .sampling import SeedSpec, _haar_unitary_from
 from .spectrum import _SUBSTACK_ENTRIES
-from .tensorops import Bipartition
+from .tensorops import Bipartition, permutation_matrix
 
 #: default cap on d1*d2 for exhaustive permutation search ((d1*d2)! candidates)
 PERMUTATION_DIM_CAP = 8
@@ -143,13 +143,10 @@ def exhaustive_permutation_max(part: Bipartition,
         )
     substack = max(1, _SUBSTACK_ENTRIES // (n * n))
     tables = itertools.permutations(range(n))
-    cols = np.arange(n)
     best = -math.inf
     best_table: tuple[int, ...] = tuple(range(n))
     while chunk := list(itertools.islice(tables, substack)):
-        stack = np.zeros((len(chunk), n, n))
-        stack[np.arange(len(chunk))[:, None], np.array(chunk), cols] = 1.0
-        for table, val in zip(chunk, ep_values(stack, part)):
+        for table, val in zip(chunk, ep_values(permutation_matrix(chunk), part)):
             if val > best + 1e-12:
                 best = float(val)
                 best_table = table

@@ -99,6 +99,29 @@ def partial_trace(m: np.ndarray, part: Bipartition, keep: str = "first") -> np.n
     raise ValidationError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
+def permutation_matrix(images) -> np.ndarray:
+    """Real 0/1 matrix sending basis vector ``k`` to basis vector ``images[k]``.
+
+    Parameters
+    ----------
+    images : array_like of int, shape ``(..., n)``
+        One index table, or a stack of them; each must be a permutation of
+        ``0..n-1`` (not checked here).
+
+    Returns
+    -------
+    ndarray
+        Float64 array of shape ``(..., n, n)`` with ``m[..., images[k], k] = 1``
+        and zeros elsewhere.
+    """
+    images = np.asarray(images)
+    n = images.shape[-1]
+    tables = images.reshape(-1, n)
+    m = np.zeros((len(tables), n, n))
+    m[np.arange(len(tables))[:, None], tables, np.arange(n)] = 1.0
+    return m.reshape(images.shape + (n,))
+
+
 def pair_exchange(part: Bipartition, which: str = "T13") -> np.ndarray:
     """Permutation operator exchanging factors of the doubled space.
 
@@ -124,9 +147,7 @@ def pair_exchange(part: Bipartition, which: str = "T13") -> np.ndarray:
         rows = idx.transpose(0, 3, 2, 1)
     else:
         rows = idx.transpose(2, 3, 0, 1)
-    m = np.zeros((n, n))
-    m[rows.ravel(), np.arange(n)] = 1.0
-    return m
+    return permutation_matrix(rows.ravel())
 
 
 def antisym_projector_13(part: Bipartition) -> np.ndarray:

@@ -1,9 +1,12 @@
 import json
+from argparse import Namespace
+from pathlib import Path
 
 import pytest
 
+import entpow.cli as cli
 from entpow import ep_closed, load_gate, make_cnot, save_gate
-from entpow.cli import EXIT_IO, EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, main
+from entpow.cli import EXIT_IO, EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, GATES, main
 
 
 def run(capsys, *argv):
@@ -195,6 +198,130 @@ class TestReplaySquareGates:
         replayed = json.loads((tmp_path / "b.json.manifest.json").read_text())["parameters"]
         assert {k: v for k, v in recorded.items() if k != "out"} == \
                {k: v for k, v in replayed.items() if k != "out"}
+
+
+#: dimension options and the known exact value of every ``--gate`` choice
+GATE_VALUES = {
+    "identity": (["--d1", "2", "--d2", "3"], 0.0),
+    "swap": (["--d", "3"], 0.0),
+    "cnot": ([], 2 / 9),
+    "controlled-clock": (["--d", "3"], 3 * 2 / 4**2),     # d(d-1)/(d+1)^2
+    "controlled-shift": (["--d", "4"], 4 * 3 / 5**2),
+    "additive-perm": (["--d", "5"], 4 / 6),               # (d-1)/(d+1)
+}
+
+
+class TestGateTable:
+    @pytest.mark.parametrize("name", list(GATES))
+    def test_exact_value(self, capsys, name):
+        dims, expected = GATE_VALUES[name]
+        code, out = run(capsys, "eval", "--gate", name, *dims)
+        assert code == EXIT_OK
+        assert f"value        = {expected:.12f}" in out
+
+    def test_unknown_gate_rejected_by_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--gate", "toffoli"])
+        assert exc.value.code == 2
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called past the dimension cap")
+
+
+class TestDimensionCap:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--gate", "identity", "--d", "1000"],
+        ["eval", "--gate", "swap", "--d1", "1000", "--d2", "1000"],
+        ["eval", "--gate", "additive-perm", "--d", "1001"],
+        ["mc", "--gate", "controlled-clock", "--d", "1000"],
+        ["mc", "--gate", "controlled-shift", "--d", "1000"],
+        ["dist", "--d1", "1000", "--d2", "3"],
+        ["optimize", "--d", "1000"],
+    ])
+    def test_refused_before_any_constructor(self, capsys, monkeypatch, tmp_path, argv):
+        for name in ("make_identity", "make_swap", "make_controlled_family", "shift_matrix",
+                     "make_additive_permutation", "sample_q", "maximize_ep"):
+            monkeypatch.setattr(cli, name, _must_not_run)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_RESOURCE
+        assert "exceeds the cap of 2000" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cap_is_inclusive(self):
+        args = Namespace(d=None, d1=1, d2=2000)
+        assert cli._dims_from_args(args) == (1, 2000)
+        with pytest.raises(cli.ResourceLimitError):
+            cli._dims_from_args(Namespace(d=None, d1=1, d2=2001))
+
+    def test_oversized_gate_file(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"d1": 1000, "d2": 1000, "matrix": []}))
+        assert main(["eval", "--file", str(path)]) == EXIT_RESOURCE
+        assert main(["verify", "--file", str(path)]) == EXIT_RESOURCE
+
+
+#: one run of every output-writing command; "{gate}" stands for a saved CNOT gate file
+ROUND_TRIPS = {
+    "eval-closed": ["eval", "--gate", "cnot"],
+    "eval-oracle": ["eval", "--gate", "controlled-clock", "--d", "3", "--method", "oracle"],
+    "eval-file": ["eval", "--file", "{gate}"],
+    "mc": ["mc", "--gate", "controlled-shift", "--d1", "3", "--d2", "3", "--samples", "400",
+           "--seed", "3"],
+    "dist-d": ["dist", "--d", "2", "--samples", "300", "--bins", "10", "--seed", "4"],
+    "dist-d1-d2": ["dist", "--d1", "2", "--d2", "3", "--samples", "300", "--bins", "12",
+                   "--seed", "5", "--stream", "2"],
+    "optimize-threads": ["optimize", "--d1", "2", "--d2", "2", "--restarts", "2", "--iters", "40",
+                         "--threads", "2", "--seed", "6"],
+}
+
+
+def _manifest_without_out(out) -> dict:
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    del manifest["wall_time"], manifest["parameters"]["out"]
+    at = manifest["argv"].index("--out")
+    assert manifest["argv"][at + 1] == str(out)
+    del manifest["argv"][at:at + 2]
+    return manifest
+
+
+class TestManifestRoundTrip:
+    @pytest.mark.parametrize("case", list(ROUND_TRIPS))
+    def test_replay_reproduces_output_and_manifest(self, capsys, tmp_path, case):
+        gate = tmp_path / "gate.json"
+        save_gate(make_cnot(), gate)
+        argv = [str(gate) if a == "{gate}" else a for a in ROUND_TRIPS[case]]
+        first, second = tmp_path / "first.out", tmp_path / "second.out"
+        assert main(argv + ["--out", str(first)]) == EXIT_OK
+        assert main(["replay", f"{first}.manifest.json", "--out", str(second)]) == EXIT_OK
+        assert first.read_bytes() == second.read_bytes()
+        assert _manifest_without_out(first) == _manifest_without_out(second)
+
+    def test_argv_records_defaults(self, capsys, tmp_path):
+        out = tmp_path / "r.json"
+        run(capsys, "eval", "--gate", "cnot", "--out", str(out))
+        argv = json.loads((tmp_path / "r.json.manifest.json").read_text())["argv"]
+        assert argv == ["eval", "--gate", "cnot", "--seed", "0", "--stream", "0",
+                        "--method", "closed", "--out", str(out)]
+
+
+class TestReplayInput:
+    @pytest.mark.parametrize("content,message", [
+        ([1, 2], "not a JSON object"),
+        ({"command": "eval", "part": {"d1": 2, "d2": 2}, "parameters": {"gate": "cnot"}},
+         "records no argv"),
+        ({"argv": "eval --gate cnot"}, "list of strings"),
+        ({"argv": ["eval", "--gate", 3]}, "list of strings"),
+        ({"argv": []}, "must start with one of"),
+        ({"argv": ["verify"]}, "must start with one of"),
+        ({"argv": ["replay", "{self}"]}, "must start with one of"),
+    ])
+    def test_refused_and_nothing_written(self, capsys, tmp_path, content, message):
+        manifest = tmp_path / "m.json.manifest.json"
+        text = json.dumps(content).replace("{self}", str(manifest))
+        manifest.write_text(text)
+        assert main(["replay", str(manifest), "--out", str(tmp_path / "x.json")]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json.manifest.json"]
 
 
 class TestVerify:

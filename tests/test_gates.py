@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from entpow import (Bipartition, GateSpec, SeedSpec, ValidationError, clock_matrix,
+from entpow import (Bipartition, ResourceLimitError, SeedSpec, ValidationError, clock_matrix,
                     ep_closed, haar_unitary, load_gate, make_additive_permutation,
                     make_basis_permutation, make_bilocal, make_cnot,
                     make_controlled_family, make_identity, make_swap, save_gate,
@@ -122,6 +122,12 @@ class TestSimpleConstructors:
         g = make_basis_permutation(Bipartition(2, 3), range(6))
         assert_allclose(g.matrix, np.eye(6), atol=1e-15)
 
+    def test_bilocal_mixed_dims_and_swapping_table(self):
+        assert make_bilocal(HADAMARD, np.eye(3)).part == Bipartition(2, 3)
+        m = make_basis_permutation(Bipartition(2, 2), [1, 0, 2, 3]).matrix
+        assert is_permutation_matrix(m)
+        assert_allclose(m[:, 0], [0, 1, 0, 0])
+
     def test_basis_permutation_rejects_non_bijection(self):
         with pytest.raises(ValidationError, match="bijection"):
             make_basis_permutation(Bipartition(2, 2), [0, 1, 1, 3])
@@ -154,6 +160,12 @@ class TestGateFiles:
         with pytest.raises(ValidationError, match="not valid JSON"):
             load_gate(path)
 
+    def test_declared_size_capped_before_the_matrix_is_read(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"d1": 1000, "d2": 1000, "matrix": "never parsed"}))
+        with pytest.raises(ResourceLimitError, match="d1\\*d2 = 1000000"):
+            load_gate(path)
+
     def test_missing_fields(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"d1": 2, "matrix": []}))
@@ -166,31 +178,3 @@ class TestGateFiles:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError, match="not unitary"):
             load_gate(path)
-
-
-class TestGateSpec:
-    @pytest.mark.parametrize("spec,expected_part", [
-        (GateSpec("cnot"), Bipartition(2, 2)),
-        (GateSpec("identity", {"d1": 2, "d2": 3}), Bipartition(2, 3)),
-        (GateSpec("swap", {"d": 3}), Bipartition(3, 3)),
-        (GateSpec("controlled_family", {"d": 3}), Bipartition(3, 3)),
-        (GateSpec("additive_permutation", {"d": 5}), Bipartition(5, 5)),
-    ])
-    def test_resolve(self, spec, expected_part):
-        assert spec.resolve().part == expected_part
-
-    def test_resolve_file(self, tmp_path):
-        path = tmp_path / "g.json"
-        save_gate(make_cnot(), path)
-        g = GateSpec("file", {"path": str(path)}).resolve()
-        assert_allclose(g.matrix, make_cnot().matrix)
-
-    def test_resolve_bilocal_and_table(self):
-        g = GateSpec("bilocal_product", {"u1": HADAMARD, "u2": np.eye(3)}).resolve()
-        assert g.part == Bipartition(2, 3)
-        g = GateSpec("basis_permutation", {"d1": 2, "d2": 2, "table": [1, 0, 2, 3]}).resolve()
-        assert is_permutation_matrix(g.matrix)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValidationError):
-            GateSpec("toffoli").resolve()

@@ -1,4 +1,5 @@
-"""Property-based checks of the invariances of the closed form over d1, d2 <= 4 and seeds.
+"""Property-based checks of the closed form over d1, d2 <= 4 and seeds: invariances,
+agreement with the dense oracle, and the bounds ``0 <= e <= upper_bound``.
 
 Examples are derandomized, so every run draws the same gates.
 """
@@ -7,9 +8,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entpow import Bipartition, SeedSpec, ep_value, haar_unitary, kron
+from entpow import (Bipartition, SeedSpec, UnitaryGate, ep_closed, ep_dense_oracle, ep_value,
+                    haar_unitary, kron, make_basis_permutation, make_swap, upper_bound)
 
 TOL = 1e-12
+ORACLE_TOL = 1e-10
 
 dims = st.integers(min_value=1, max_value=4)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -55,3 +58,31 @@ def test_bilocal_invariance(d1, d2, seed):
     assert abs(ep_value(left @ u, part) - value) <= TOL
     assert abs(ep_value(u @ right, part) - value) <= TOL
     assert abs(ep_value(left @ u @ right, part) - value) <= TOL
+
+
+@checked
+@given(d1=dims, d2=dims, seed=seeds)
+def test_closed_form_equals_dense_oracle(d1, d2, seed):
+    gate = UnitaryGate(haar_unitary(d1 * d2, SeedSpec(seed)), Bipartition(d1, d2))
+    assert abs(ep_closed(gate).value - ep_dense_oracle(gate).value) <= ORACLE_TOL
+
+
+@checked
+@given(d1=dims, d2=dims, seed=seeds, data=st.data())
+def test_between_zero_and_the_bound(d1, d2, seed, data):
+    part = Bipartition(d1, d2)
+    # basis permutations include the zeros (identity) and the largest values a table reaches
+    table = data.draw(st.permutations(range(part.dim)))
+    for u in (haar_unitary(part.dim, SeedSpec(seed)), make_basis_permutation(part, table).matrix):
+        assert -TOL <= ep_value(u, part) <= upper_bound(part) + TOL
+
+
+@checked
+@given(d=dims, seed=seeds)
+def test_swap_invariance(d, seed):
+    part = Bipartition(d, d)
+    u = haar_unitary(part.dim, SeedSpec(seed))
+    swap = make_swap(d).matrix
+    value = ep_value(u, part)
+    assert abs(ep_value(swap @ u, part) - value) <= TOL
+    assert abs(ep_value(u @ swap, part) - value) <= TOL

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from entpow import Bipartition, DimensionError, ValidationError, antisym_projector_13, kron, pair_exchange, partial_trace
+from entpow.tensorops import permutation_matrix
 
 
 def rand_c(rng, *shape):
@@ -94,6 +95,27 @@ class TestPartialTrace:
     def test_bad_selector(self):
         with pytest.raises(ValidationError):
             partial_trace(np.eye(6), Bipartition(2, 3), keep="third")
+
+
+class TestPermutationMatrix:
+    def test_sends_basis_vector_k_to_its_image(self):
+        images = [2, 0, 3, 1]
+        m = permutation_matrix(images)
+        assert m.dtype == np.float64
+        for k, image in enumerate(images):
+            assert np.array_equal(m[:, k], np.eye(4)[image])
+
+    def test_stack_matches_one_table_at_a_time(self):
+        rng = np.random.default_rng(5)
+        tables = np.array([rng.permutation(6) for _ in range(7)])
+        stack = permutation_matrix(tables)
+        assert stack.shape == (7, 6, 6)
+        for table, m in zip(tables, stack):
+            assert np.array_equal(m, permutation_matrix(table))
+        assert np.array_equal(permutation_matrix(tables.reshape(7, 1, 6)), stack[:, None])
+
+    def test_identity_table(self):
+        assert np.array_equal(permutation_matrix(range(5)), np.eye(5))
 
 
 class TestPairExchange:
