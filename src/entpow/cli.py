@@ -31,7 +31,7 @@ from .errors import ResourceLimitError, ValidationError
 from .gates import (load_gate, make_additive_permutation, make_cnot, make_controlled_family,
                     make_identity, make_swap, save_gate, shift_matrix)
 from .power import (UnitaryGate, ep_closed, ep_dense_oracle, ep_monte_carlo,
-                    haar_mean, resolve_threads, upper_bound)
+                    haar_mean, upper_bound)
 from .sampling import SeedSpec
 from .search import OptimizeConfig, maximize_ep
 from .selfcheck import run_self_checks
@@ -176,7 +176,7 @@ def cmd_mc(args) -> int:
     started = time.perf_counter()
     gate = _gate_from_args(args)
     seed = _seed_from_args(args)
-    mc = ep_monte_carlo(gate, args.samples, seed, threads=args.threads)
+    mc = ep_monte_carlo(gate, args.samples, seed)
     closed = ep_closed(gate)
     print(f"gate          : {gate.part} unitary")
     print(f"mc_estimate   = {mc.value:.9f} +/- {mc.mc_stderr:.3e}  ({args.samples} samples)")
@@ -194,7 +194,7 @@ def cmd_dist(args) -> int:
     started = time.perf_counter()
     part = Bipartition(*_dims_from_args(args))
     seed = _seed_from_args(args)
-    hist = sample_q(part, args.samples, args.bins, seed, threads=args.threads)
+    hist = sample_q(part, args.samples, args.bins, seed)
     out = Path(args.out)
     with out.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -215,7 +215,7 @@ def cmd_optimize(args) -> int:
     part = Bipartition(*_dims_from_args(args))
     seed = _seed_from_args(args)
     cfg = OptimizeConfig(part=part, seed=seed, restarts=args.restarts, max_iters=args.iters)
-    result = maximize_ep(cfg, threads=args.threads)
+    result = maximize_ep(cfg)
     print(f"bipartition   : {part}")
     print(f"best_value    = {result.best_value:.9f}")
     print(f"upper_bound   = {result.bound:.9f}")
@@ -303,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gate_args(p)
     _add_seed_args(p)
     p.add_argument("--samples", type=int, default=20000)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", help="also write both reports as JSON")
     p.set_defaults(func=cmd_mc)
 
@@ -314,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_args(p)
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--bins", type=int, default=100)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_dist)
 
@@ -325,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_args(p)
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--iters", type=int, default=4000)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", help="write the best gate in the JSON matrix format")
     p.set_defaults(func=cmd_optimize)
 
@@ -345,9 +342,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # resolve the thread setting early so a bad --threads or ENTPOW_THREADS fails fast
-        if hasattr(args, "threads"):
-            resolve_threads(args.threads)
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

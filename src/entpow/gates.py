@@ -144,7 +144,12 @@ def load_gate(path) -> UnitaryGate:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"gate file {path} is not valid JSON: {exc}") from exc
     try:
-        part = Bipartition(int(payload["d1"]), int(payload["d2"]))
+        dims = payload["d1"], payload["d2"]
+        for name, d in zip(("d1", "d2"), dims):
+            # json reads only integers as int; bool is an int subclass, so compare exactly
+            if type(d) is not int:
+                raise ValueError(f"{name} must be an integer, got {json.dumps(d)}")
+        part = Bipartition(*dims)
         if part.dim > DEFAULT_DIM_CAP:
             raise ResourceLimitError(
                 f"gate file {path} declares d1*d2 = {part.dim}, above the cap of {DEFAULT_DIM_CAP}"

@@ -15,7 +15,7 @@ test suite holds them to that.
 """
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +36,8 @@ class UnitaryGate:
 
     matrix: np.ndarray
     part: Bipartition
-    atol: InitVar[float] = UNITARY_ATOL
 
-    def __post_init__(self, atol):
+    def __post_init__(self):
         m = ensure_finite(self.matrix, "gate matrix")
         n = self.part.dim
         if m.shape != (n, n):
@@ -46,9 +45,9 @@ class UnitaryGate:
                 f"gate matrix must be {n}x{n} for bipartition {self.part}, got {m.shape}"
             )
         defect = np.abs(m.conj().T @ m - np.eye(n)).max()
-        if defect > atol:
+        if defect > UNITARY_ATOL:
             raise ValidationError(
-                f"matrix is not unitary: max |U^dag U - 1| = {defect:.3e} exceeds {atol:.1e}"
+                f"matrix is not unitary: max |U^dag U - 1| = {defect:.3e} exceeds {UNITARY_ATOL:.1e}"
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -176,6 +175,16 @@ def ep_values(stack: np.ndarray, part: Bipartition) -> np.ndarray:
     return _closed_form(*_i0_i1(stack, part), part)
 
 
+#: matrix entries per sub-stack of gates drawn and evaluated at once; caps the
+#: working set of :func:`ep_values` without changing any value
+_SUBSTACK_ENTRIES = 4096
+
+
+def substack_size(n: int) -> int:
+    """Number of ``(n, n)`` matrices in one sub-stack passed to :func:`ep_values`."""
+    return max(1, _SUBSTACK_ENTRIES // (n * n))
+
+
 def ep_value(matrix: np.ndarray, part: Bipartition) -> float:
     """Closed-form entangling power of one (unvalidated) unitary matrix.
 
@@ -254,26 +263,20 @@ def _batch_entropies(matrix: np.ndarray, part: Bipartition,
     return 1.0 - purity.real
 
 
-def ep_monte_carlo(gate: UnitaryGate, n_samples: int, seed: SeedSpec,
-                   threads: int | None = None) -> EntanglingPowerReport:
+def ep_monte_carlo(gate: UnitaryGate, n_samples: int, seed: SeedSpec) -> EntanglingPowerReport:
     """Entangling power as a sample mean over Haar product states.
 
-    Samples are spread over a fixed set of seed substreams and reduced in
-    stream order, so the estimate is deterministic for a given seed no matter
-    how many workers run the blocks.  The report carries the sample count and
-    the standard error of the mean.
+    Samples are spread over a fixed set of seed substreams and concatenated in
+    stream order, so the estimate is deterministic for a given seed.  The
+    report carries the sample count and the standard error of the mean.
     """
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     part = gate.part
-
-    def one_block(args):
-        b, count = args
+    chunks = []
+    for b, count in enumerate(block_sizes(n_samples)):
         p1, p2 = product_state_block(part, seed.substream(b), count)
-        return _batch_entropies(gate.matrix, part, p1, p2)
-
-    sizes = block_sizes(n_samples)
-    chunks = _map_ordered(one_block, list(enumerate(sizes)), threads)
+        chunks.append(_batch_entropies(gate.matrix, part, p1, p2))
     values = np.concatenate(chunks)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else float("inf")
@@ -326,39 +329,3 @@ def haar_gate(part: Bipartition, seed: SeedSpec) -> UnitaryGate:
 
     return UnitaryGate(haar_unitary(part.dim, seed), part)
 
-
-def _map_ordered(fn, items, threads: int | None):
-    """Apply ``fn`` over ``items`` and return results in input order.
-
-    ``threads`` > 1 runs blocks on a thread pool; the ordered reduction keeps
-    results identical to the sequential run.
-    """
-    n = resolve_threads(threads)
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
-def resolve_threads(threads: int | None) -> int:
-    """Worker count: explicit argument, else the ENTPOW_THREADS variable, else 1.
-
-    A count below 1, from either source, is a :class:`ValidationError`.
-    """
-    source = "threads"
-    if threads is None:
-        import os
-
-        env = os.environ.get("ENTPOW_THREADS")
-        if not env:
-            return 1
-        source = "ENTPOW_THREADS"
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValidationError(f"ENTPOW_THREADS must be an integer, got {env!r}") from None
-    if threads < 1:
-        raise ValidationError(f"{source} must be >= 1, got {threads}")
-    return int(threads)

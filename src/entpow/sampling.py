@@ -4,8 +4,8 @@ All samplers are pure functions of a :class:`SeedSpec`: the same
 ``(master_seed, stream_index)`` pair reproduces the same output bit for bit on
 a given build.  Distinct stream indices yield statistically independent
 streams (counter-based Philox keyed through ``numpy.random.SeedSequence``), so
-Monte Carlo loops can fan samples out over streams and stay deterministic
-regardless of how many workers process them.
+Monte Carlo loops split their samples over a fixed set of streams and stay
+deterministic.
 """
 
 from dataclasses import dataclass
@@ -33,7 +33,7 @@ class SeedSpec:
             raise ValidationError(f"stream_index must be nonnegative, got {self.stream_index}")
 
     def substream(self, k: int) -> "SeedSpec":
-        """The seed ``k`` streams further along; used to fan out parallel work."""
+        """The seed ``k`` streams further along; used to split work into streams."""
         return SeedSpec(self.master_seed, self.stream_index + k)
 
     def generator(self) -> np.random.Generator:
@@ -104,17 +104,17 @@ def product_state_pair(part: Bipartition, seed: SeedSpec) -> tuple[np.ndarray, n
     return p1, p2
 
 
-def block_sizes(n_samples: int, n_blocks: int = NUM_STREAM_BLOCKS) -> list[int]:
-    """Deterministic partition of ``n_samples`` over at most ``n_blocks`` streams.
+def block_sizes(n_samples: int) -> list[int]:
+    """Deterministic partition of ``n_samples`` over at most ``NUM_STREAM_BLOCKS`` streams.
 
     Block ``b`` is processed with the generator of ``seed.substream(b)``; the
-    partition depends only on ``n_samples``, never on worker count.
+    partition depends only on ``n_samples``.
     """
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
-    n_blocks = min(n_blocks, n_samples)
-    base, extra = divmod(n_samples, n_blocks)
-    return [base + (1 if b < extra else 0) for b in range(n_blocks)]
+    blocks = min(NUM_STREAM_BLOCKS, n_samples)
+    base, extra = divmod(n_samples, blocks)
+    return [base + (1 if b < extra else 0) for b in range(blocks)]
 
 
 def product_state_block(part: Bipartition, seed: SeedSpec, count: int) -> tuple[np.ndarray, np.ndarray]:

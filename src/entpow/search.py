@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .power import (UnitaryGate, _map_ordered, ep_value, ep_value_and_grad, ep_values,
+from .power import (UnitaryGate, ep_value, ep_value_and_grad, ep_values, substack_size,
                     upper_bound)
 from .sampling import SeedSpec, _haar_unitary_from
-from .spectrum import _SUBSTACK_ENTRIES
 from .tensorops import Bipartition, permutation_matrix
 
-#: default cap on d1*d2 for exhaustive permutation search ((d1*d2)! candidates)
+#: cap on d1*d2 for exhaustive permutation search ((d1*d2)! candidates)
 PERMUTATION_DIM_CAP = 8
 
 #: step sizes eta tried along every ascent direction, 2^4 down to 2^-11
@@ -93,7 +92,7 @@ def _ascend(cfg: OptimizeConfig, restart: int):
     return val, u, trace, steps + 1
 
 
-def maximize_ep(cfg: OptimizeConfig, threads: int | None = None) -> OptimizeResult:
+def maximize_ep(cfg: OptimizeConfig) -> OptimizeResult:
     """Maximize entangling power over U(d1*d2) by restarted gradient ascent.
 
     Deterministic for a given config: restart ``r`` draws from seed substream
@@ -101,7 +100,7 @@ def maximize_ep(cfg: OptimizeConfig, threads: int | None = None) -> OptimizeResu
     earlier restart).  Every evaluated candidate is a valid unitary, so the
     best value respects the analytic upper bound.
     """
-    results = _map_ordered(lambda r: _ascend(cfg, r), list(range(cfg.restarts)), threads)
+    results = [_ascend(cfg, r) for r in range(cfg.restarts)]
 
     best_val = -math.inf
     merged: list[tuple[int, float]] = []
@@ -127,21 +126,21 @@ def maximize_ep(cfg: OptimizeConfig, threads: int | None = None) -> OptimizeResu
     )
 
 
-def exhaustive_permutation_max(part: Bipartition,
-                               max_dim: int = PERMUTATION_DIM_CAP) -> tuple[float, tuple[int, ...]]:
+def exhaustive_permutation_max(part: Bipartition) -> tuple[float, tuple[int, ...]]:
     """Maximum entangling power over all basis permutations, with an argmax table.
 
     Enumerates all ``(d1*d2)!`` permutation gates in lexicographic order,
     evaluating sub-stacks of ``max(1, 4096 // n^2)`` tables per call; ties are
     broken by the lexicographically smallest table.  Dimensions above
-    ``max_dim`` raise :class:`ResourceLimitError` rather than enumerate forever.
+    ``PERMUTATION_DIM_CAP`` raise :class:`ResourceLimitError` rather than
+    enumerate forever.
     """
     n = part.dim
-    if n > max_dim:
+    if n > PERMUTATION_DIM_CAP:
         raise ResourceLimitError(
-            f"permutation search over {n}! tables exceeds the cap d1*d2 <= {max_dim}"
+            f"permutation search over {n}! tables exceeds the cap d1*d2 <= {PERMUTATION_DIM_CAP}"
         )
-    substack = max(1, _SUBSTACK_ENTRIES // (n * n))
+    substack = substack_size(n)
     tables = itertools.permutations(range(n))
     best = -math.inf
     best_table: tuple[int, ...] = tuple(range(n))

@@ -12,13 +12,9 @@ import numpy as np
 
 from .errors import ValidationError
 # ep_value is unused here but stays bound: bench/spans.py traces entpow.spectrum.ep_value
-from .power import _map_ordered, ep_value, ep_values, upper_bound  # noqa: F401
+from .power import ep_value, ep_values, substack_size, upper_bound  # noqa: F401
 from .sampling import SeedSpec, _haar_unitary_from, block_sizes
 from .tensorops import Bipartition
-
-#: matrix entries per sub-stack of gates drawn and evaluated at once; caps the
-#: working set of a stream block without changing what the stream yields
-_SUBSTACK_ENTRIES = 4096
 
 
 @dataclass(eq=False)
@@ -40,20 +36,19 @@ class Histogram:
         return self.counts / (self.n_samples * widths)
 
 
-def sample_q(part: Bipartition, n_samples: int, n_bins: int, seed: SeedSpec,
-             threads: int | None = None) -> Histogram:
+def sample_q(part: Bipartition, n_samples: int, n_bins: int, seed: SeedSpec) -> Histogram:
     """Histogram of entangling power over ``n_samples`` Haar-random unitaries.
 
     Bins are uniform over ``[0, upper_bound(part)]`` (over ``[0, 1]`` when the
-    bound degenerates to zero, i.e. a trivial factor).  Sampling fans out over
-    a fixed set of seed substreams and is reduced in stream order, so the
-    histogram is deterministic for a given seed at any worker count.  Within a
-    stream, gates are drawn and evaluated in sub-stacks by :func:`ep_values`;
-    the values equal those of a one-gate-at-a-time loop bit for bit.
+    bound degenerates to zero, i.e. a trivial factor).  Sampling is split over
+    a fixed set of seed substreams taken in stream order, so the histogram is
+    deterministic for a given seed.  Within a stream, gates are drawn and
+    evaluated in sub-stacks by :func:`ep_values`; the values equal those of a
+    one-gate-at-a-time loop bit for bit.
     """
     if n_bins < 2:
         raise ValidationError(f"n_bins must be >= 2, got {n_bins}")
-    values = _haar_values(part, n_samples, seed, threads)
+    values = _haar_values(part, n_samples, seed)
     bound = upper_bound(part)
     hi = bound if bound > 0 else 1.0
     edges = np.linspace(0.0, hi, n_bins + 1)
@@ -70,21 +65,18 @@ def sample_q(part: Bipartition, n_samples: int, n_bins: int, seed: SeedSpec,
     )
 
 
-def _haar_values(part: Bipartition, n_samples: int, seed: SeedSpec,
-                 threads: int | None = None) -> np.ndarray:
+def _haar_values(part: Bipartition, n_samples: int, seed: SeedSpec) -> np.ndarray:
     """Entangling power of ``n_samples`` Haar-random gates, in stream order."""
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     n = part.dim
-    substack = max(1, _SUBSTACK_ENTRIES // (n * n))
-
-    def one_block(args):
-        b, count = args
+    substack = substack_size(n)
+    chunks = []
+    for b, count in enumerate(block_sizes(n_samples)):
         rng = seed.substream(b).generator()
-        sizes = [min(substack, count - start) for start in range(0, count, substack)]
-        return np.concatenate([ep_values(_haar_unitary_from(rng, n, k), part) for k in sizes])
-
-    return np.concatenate(_map_ordered(one_block, list(enumerate(block_sizes(n_samples))), threads))
+        for start in range(0, count, substack):
+            chunks.append(ep_values(_haar_unitary_from(rng, n, min(substack, count - start)), part))
+    return np.concatenate(chunks)
 
 
 def monotonicity_score(h: Histogram) -> float:

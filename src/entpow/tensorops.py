@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 
-#: default cap on any matrix side produced by :func:`kron`
+#: cap on any matrix side produced by :func:`kron`
 DEFAULT_DIM_CAP = 2000
 
 #: absolute tolerance for structural checks (unitarity, Hermiticity, idempotence)
@@ -49,24 +49,18 @@ def ensure_finite(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return m
 
 
-def kron(a: np.ndarray, b: np.ndarray, max_side: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """Kronecker product ``a (x) b``.
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product ``a (x) b`` of dense matrices (or column vectors).
 
-    Parameters
-    ----------
-    a, b : ndarray
-        Dense matrices (or column vectors).
-    max_side : int
-        Cap on each side of the result; exceeding it raises
-        :class:`DimensionError`.
+    A side of the result above ``DEFAULT_DIM_CAP`` raises :class:`DimensionError`.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     rows = a.shape[0] * b.shape[0]
     cols = (a.shape[1] if a.ndim > 1 else 1) * (b.shape[1] if b.ndim > 1 else 1)
-    if rows > max_side or cols > max_side:
+    if rows > DEFAULT_DIM_CAP or cols > DEFAULT_DIM_CAP:
         raise DimensionError(
-            f"kron result {rows}x{cols} exceeds the configured cap of {max_side} per side"
+            f"kron result {rows}x{cols} exceeds the configured cap of {DEFAULT_DIM_CAP} per side"
         )
     return np.kron(a, b)
 

@@ -67,6 +67,14 @@ class TestEval:
         assert code == EXIT_VALIDATION
         assert "not unitary" in err and "|U^dag U - 1|" in err
 
+    @pytest.mark.parametrize("d1, d2", [(4.9, 1), (True, 4), ("2", 2), (None, 4)])
+    def test_non_integer_dimension_in_gate_file(self, capsys, tmp_path, d1, d2):
+        path = tmp_path / "eye.json"
+        eye = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+        path.write_text(json.dumps({"d1": d1, "d2": d2, "matrix": eye}))
+        assert main(["eval", "--file", str(path)]) == EXIT_VALIDATION
+        assert "d1 must be an integer" in capsys.readouterr().err
+
     def test_additive_perm_even_d(self, capsys):
         code = main(["eval", "--gate", "additive-perm", "--d", "4"])
         assert code == EXIT_VALIDATION
@@ -159,7 +167,7 @@ class TestOptimize:
         out = tmp_path / "best.json"
         run(capsys, "optimize", "--d", "2", "--restarts", "1", "--iters", "20", "--out", str(out))
         params = json.loads((tmp_path / "best.json.manifest.json").read_text())["parameters"]
-        assert set(params) == {"restarts", "iters", "threads", "out"}
+        assert set(params) == {"restarts", "iters", "out"}
 
     def test_hill_climb_manifest_does_not_replay(self, capsys, tmp_path):
         # a manifest written before gradient ascent replaced the hill climb
@@ -270,8 +278,8 @@ ROUND_TRIPS = {
     "dist-d": ["dist", "--d", "2", "--samples", "300", "--bins", "10", "--seed", "4"],
     "dist-d1-d2": ["dist", "--d1", "2", "--d2", "3", "--samples", "300", "--bins", "12",
                    "--seed", "5", "--stream", "2"],
-    "optimize-threads": ["optimize", "--d1", "2", "--d2", "2", "--restarts", "2", "--iters", "40",
-                         "--threads", "2", "--seed", "6"],
+    "optimize": ["optimize", "--d1", "2", "--d2", "2", "--restarts", "2", "--iters", "40",
+                 "--seed", "6"],
 }
 
 
@@ -353,35 +361,41 @@ class TestExitCodes:
                             lambda extra_gate=None: (_ for _ in ()).throw(ResourceLimitError("cap")))
         assert cli.main(["verify"]) == EXIT_RESOURCE
 
-    def test_env_threads_used(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("ENTPOW_THREADS", "3")
-        a = tmp_path / "a.csv"
-        run(capsys, "dist", "--d1", "2", "--d2", "2", "--samples", "300", "--bins", "10",
-            "--seed", "2", "--out", str(a))
-        monkeypatch.delenv("ENTPOW_THREADS")
-        b = tmp_path / "b.csv"
-        run(capsys, "dist", "--d1", "2", "--d2", "2", "--samples", "300", "--bins", "10",
-            "--seed", "2", "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
 
-    def test_bad_env_threads(self, capsys, monkeypatch):
+class TestNoWorkerCount:
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--gate", "cnot", "--samples", "50"],
+        ["dist", "--d", "2", "--samples", "50"],
+        ["optimize", "--d", "2", "--restarts", "1", "--iters", "10"],
+    ])
+    def test_threads_flag_rejected_by_argparse(self, capsys, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", "2", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--d1", "2", "--d2", "3", "--samples", "300", "--bins", "10", "--seed", "2"],
+        ["mc", "--gate", "controlled-clock", "--d", "3", "--samples", "300", "--seed", "2"],
+    ])
+    def test_env_variable_ignored(self, capsys, monkeypatch, tmp_path, argv):
+        out = tmp_path / "out"
         monkeypatch.setenv("ENTPOW_THREADS", "soon")
-        code = main(["mc", "--gate", "cnot", "--samples", "50"])
-        assert code == EXIT_VALIDATION
+        code, printed = run(capsys, *argv, "--out", str(out))
+        assert code == EXIT_OK
+        written = out.read_bytes()
+        monkeypatch.delenv("ENTPOW_THREADS")
+        assert run(capsys, *argv, "--out", str(out)) == (EXIT_OK, printed)
+        assert out.read_bytes() == written
 
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_nonpositive_threads_rejected(self, capsys, tmp_path, value):
-        out = tmp_path / "h.csv"
-        code = main(["dist", "--d", "2", "--samples", "50", "--threads", value, "--out", str(out)])
-        assert code == EXIT_VALIDATION
-        assert "threads must be >= 1" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_nonpositive_env_threads_rejected(self, capsys, monkeypatch, tmp_path, value):
-        monkeypatch.setenv("ENTPOW_THREADS", value)
-        out = tmp_path / "h.csv"
-        assert main(["dist", "--d", "2", "--samples", "50", "--out", str(out)]) == EXIT_VALIDATION
-        assert "ENTPOW_THREADS must be >= 1" in capsys.readouterr().err
-        assert not out.exists()
-        assert main(["optimize", "--d", "2", "--restarts", "1", "--iters", "10"]) == EXIT_VALIDATION
+    def test_replay_of_threads_manifest_refused(self, capsys, tmp_path):
+        manifest = tmp_path / "old.json.manifest.json"
+        manifest.write_text(json.dumps({"argv": [
+            "optimize", "--d", "2", "--seed", "0", "--stream", "0", "--restarts", "1",
+            "--iters", "10", "--threads", "2", "--out", str(tmp_path / "old.json")]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", str(manifest), "--out", str(tmp_path / "new.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["old.json.manifest.json"]

@@ -166,6 +166,23 @@ class TestGateFiles:
         with pytest.raises(ResourceLimitError, match="d1\\*d2 = 1000000"):
             load_gate(path)
 
+    @pytest.mark.parametrize("field", ["d1", "d2"])
+    @pytest.mark.parametrize("bad, other", [(4.9, 1), (True, 4), ("2", 2), (None, 4)])
+    def test_non_integer_dimension(self, tmp_path, field, bad, other):
+        # truncated by int(), each bad value times ``other`` would fit the 4x4 identity
+        eye = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+        payload = {"d1": other, "d2": other, "matrix": eye, field: bad}
+        path = tmp_path / "eye.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=f"{field} must be an integer, got {json.dumps(bad)}"):
+            load_gate(path)
+
+    def test_non_integer_dimension_checked_before_the_matrix(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"d1": 2.0, "d2": 2, "matrix": "never parsed"}))
+        with pytest.raises(ValidationError, match="d1 must be an integer, got 2.0"):
+            load_gate(path)
+
     def test_missing_fields(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"d1": 2, "matrix": []}))

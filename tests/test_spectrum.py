@@ -3,7 +3,8 @@ import pytest
 
 from entpow import Bipartition, Histogram, SeedSpec, ValidationError, haar_mean, monotonicity_score, sample_q, upper_bound
 from entpow.sampling import block_sizes
-from entpow.spectrum import _SUBSTACK_ENTRIES, _haar_values
+from entpow.power import _SUBSTACK_ENTRIES
+from entpow.spectrum import _haar_values
 
 
 def synthetic(counts, part=Bipartition(2, 2)):
@@ -28,10 +29,8 @@ class TestSampleQ:
         part = Bipartition(2, 3)
         a = sample_q(part, 1000, 20, SeedSpec(72))
         b = sample_q(part, 1000, 20, SeedSpec(72))
-        c = sample_q(part, 1000, 20, SeedSpec(72), threads=4)
         assert np.array_equal(a.counts, b.counts)
-        assert np.array_equal(a.counts, c.counts)
-        assert a.empirical_mean == c.empirical_mean
+        assert a.empirical_mean == b.empirical_mean
 
     def test_mean_and_max(self):
         part = Bipartition(2, 2)
@@ -87,7 +86,6 @@ class TestBatchedSampling:
         assert all(count > substack and count % substack for count in block_sizes(n_samples))
         ref = per_gate_values(part, n_samples, SeedSpec(77))
         assert np.array_equal(_haar_values(part, n_samples, SeedSpec(77)), ref)
-        assert np.array_equal(_haar_values(part, n_samples, SeedSpec(77), threads=2), ref)
         h = sample_q(part, n_samples, 50, SeedSpec(77))
         assert h.empirical_mean == float(ref.mean()) and h.empirical_max == float(ref.max())
 

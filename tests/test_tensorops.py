@@ -49,7 +49,7 @@ class TestKron:
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionError):
-            kron(np.eye(100), np.eye(100), max_side=2000)
+            kron(np.eye(100), np.eye(100))
 
 
 class TestPartialTrace:
