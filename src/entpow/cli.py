@@ -247,13 +247,6 @@ def cmd_replay(args) -> int:
         raise ValidationError(f"manifest {args.manifest} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ValidationError(f"manifest {args.manifest} is not a JSON object")
-    params = manifest.get("parameters")
-    if (manifest.get("command") == "optimize" and isinstance(params, dict)
-            and ("step" in params or "decay" in params)):
-        raise ValidationError(
-            f"manifest {args.manifest} records --step/--decay of the former hill-climb "
-            "optimizer, which gradient ascent replaced; its gate cannot be reproduced"
-        )
     if "argv" not in manifest:
         raise ValidationError(
             f"manifest {args.manifest} records no argv; it was written before manifests "

@@ -9,9 +9,13 @@ every step size of a fixed ladder, and the whole ladder of candidates is
 evaluated in one stacked call.  Only strict improvements are accepted.
 Restarts use independent seed substreams, so results are deterministic and
 adding restarts can only improve the best value.
+
+The discrete search runs over basis permutations.  Entangling power is
+invariant under local unitaries, and relabeling the outputs ``(a, b) ->
+(sigma(a), tau(b))`` is the local permutation ``P_sigma (x) P_tau``, so only
+one table per relabeling orbit (``d1! d2!`` tables each) is evaluated.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -23,8 +27,8 @@ from .power import (UnitaryGate, ep_value, ep_value_and_grad, ep_values, substac
 from .sampling import SeedSpec, _haar_unitary_from
 from .tensorops import Bipartition, permutation_matrix
 
-#: cap on d1*d2 for exhaustive permutation search ((d1*d2)! candidates)
-PERMUTATION_DIM_CAP = 8
+#: cap on d1*d2 for exhaustive permutation search ((d1*d2)! / (d1! d2!) candidates)
+PERMUTATION_DIM_CAP = 10
 
 #: step sizes eta tried along every ascent direction, 2^4 down to 2^-11
 STEP_LADDER = 2.0 ** np.arange(4, -12, -1)
@@ -126,12 +130,45 @@ def maximize_ep(cfg: OptimizeConfig) -> OptimizeResult:
     )
 
 
+def _orbit_representatives(part: Bipartition) -> np.ndarray:
+    """Least table of every output-relabeling orbit, in lexicographic order.
+
+    A table sends basis vector ``k`` to ``images[k] = a*d2 + b``.  Relabeling
+    the outputs by ``sigma (x) tau`` acts freely, and the least table of an
+    orbit is the one whose ``a`` labels and whose ``b`` labels are each
+    restricted growth strings: every new label is one more than the largest
+    seen so far.  Prefixes are extended one position at a time by every unused
+    image that keeps both strings growing; ``np.nonzero`` takes them row by
+    row, so the result stays in lexicographic order.
+
+    Returns an ``(n! / (d1! d2!), n)`` integer array.
+    """
+    n = part.dim
+    a_of, b_of = np.divmod(np.arange(n), part.d2)
+    prefixes = np.zeros((1, 0), dtype=np.intp)
+    used = np.zeros((1, n), dtype=bool)
+    max_a = max_b = np.full(1, -1)
+    for _ in range(n):
+        grows = (a_of <= max_a[:, None] + 1) & (b_of <= max_b[:, None] + 1)
+        rows, images = np.nonzero(grows & ~used)
+        prefixes = np.column_stack([prefixes[rows], images])
+        used = used[rows]
+        used[np.arange(len(rows)), images] = True
+        max_a = np.maximum(max_a[rows], a_of[images])
+        max_b = np.maximum(max_b[rows], b_of[images])
+    return prefixes
+
+
 def exhaustive_permutation_max(part: Bipartition) -> tuple[float, tuple[int, ...]]:
     """Maximum entangling power over all basis permutations, with an argmax table.
 
-    Enumerates all ``(d1*d2)!`` permutation gates in lexicographic order,
-    evaluating sub-stacks of ``max(1, 4096 // n^2)`` tables per call; ties are
-    broken by the lexicographically smallest table.  Dimensions above
+    Evaluates only the least table of each output-relabeling orbit
+    (:func:`_orbit_representatives`), in lexicographic order and in
+    sub-stacks of ``max(1, 4096 // n^2)`` tables per call; ties are broken by
+    the lexicographically smallest table.  For 0/1 matrices the closed form
+    sums exact integers, so a whole orbit shares one value bit for bit, and
+    the first maximizer over all ``(d1*d2)!`` tables is the least of its orbit:
+    the result equals that of a scan over every table.  Dimensions above
     ``PERMUTATION_DIM_CAP`` raise :class:`ResourceLimitError` rather than
     enumerate forever.
     """
@@ -140,13 +177,14 @@ def exhaustive_permutation_max(part: Bipartition) -> tuple[float, tuple[int, ...
         raise ResourceLimitError(
             f"permutation search over {n}! tables exceeds the cap d1*d2 <= {PERMUTATION_DIM_CAP}"
         )
+    tables = _orbit_representatives(part)
     substack = substack_size(n)
-    tables = itertools.permutations(range(n))
     best = -math.inf
-    best_table: tuple[int, ...] = tuple(range(n))
-    while chunk := list(itertools.islice(tables, substack)):
-        for table, val in zip(chunk, ep_values(permutation_matrix(chunk), part)):
+    best_row = 0
+    for start in range(0, len(tables), substack):
+        chunk = tables[start:start + substack]
+        for row, val in enumerate(ep_values(permutation_matrix(chunk), part), start):
             if val > best + 1e-12:
                 best = float(val)
-                best_table = table
-    return best, best_table
+                best_row = row
+    return best, tuple(tables[best_row].tolist())

@@ -170,7 +170,8 @@ class TestOptimize:
         assert set(params) == {"restarts", "iters", "out"}
 
     def test_hill_climb_manifest_does_not_replay(self, capsys, tmp_path):
-        # a manifest written before gradient ascent replaced the hill climb
+        # a manifest written before gradient ascent replaced the hill climb, and so
+        # before manifests recorded argv
         manifest = tmp_path / "old.json.manifest.json"
         manifest.write_text(json.dumps({
             "command": "optimize", "part": {"d1": 2, "d2": 2},
@@ -181,7 +182,7 @@ class TestOptimize:
         }))
         code = main(["replay", str(manifest)])
         assert code == EXIT_VALIDATION
-        assert "--step/--decay" in capsys.readouterr().err
+        assert "records no argv" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json.manifest.json"]
 
     def test_step_flags_are_gone(self, capsys):

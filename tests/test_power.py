@@ -216,7 +216,7 @@ class TestMonteCarlo:
         r = ep_monte_carlo(g, 20000, SeedSpec(10))
         assert abs(r.value - ep_closed(g).value) < 4 * r.mc_stderr
 
-    def test_deterministic_and_thread_independent(self):
+    def test_deterministic(self):
         g = haar_gate(P22, SeedSpec(11))
         a = ep_monte_carlo(g, 3000, SeedSpec(12))
         b = ep_monte_carlo(g, 3000, SeedSpec(12))

@@ -9,6 +9,8 @@ from entpow import (Bipartition, OptimizeConfig, ResourceLimitError, SeedSpec,
                     ValidationError, ep_closed, ep_value, exhaustive_permutation_max,
                     make_additive_permutation, make_basis_permutation, make_cnot,
                     maximize_ep, upper_bound)
+from entpow.power import ep_values, substack_size
+from entpow.tensorops import permutation_matrix
 
 P22 = Bipartition(2, 2)
 
@@ -25,13 +27,6 @@ class TestMaximizeEp:
         assert a.best_value == b.best_value
         assert a.trace == b.trace
         assert np.array_equal(a.best_gate.matrix, b.best_gate.matrix)
-
-    def test_thread_count_does_not_change_result(self):
-        cfg = quick_config(P22, restarts=3, iters=300)
-        a = maximize_ep(cfg)
-        b = maximize_ep(cfg)
-        assert a.best_value == b.best_value
-        assert a.trace == b.trace
 
     def test_trace_monotone(self):
         res = maximize_ep(quick_config(P22))
@@ -100,6 +95,43 @@ class TestMaximizeEp:
         assert all(it <= 7 for it, _ in res.trace)
 
 
+SHAPES_UP_TO_8 = [Bipartition(d1, d2) for d1 in range(1, 9) for d2 in range(1, 9) if d1 * d2 <= 8]
+SHAPES_UP_TO_10 = [Bipartition(d1, d2) for d1 in range(1, 11) for d2 in range(1, 11)
+                   if d1 * d2 <= 10]
+
+
+def stacked_values(tables, part):
+    """ep_values over a long list of tables, one sub-stack at a time to bound memory."""
+    step = substack_size(part.dim)
+    return np.concatenate([ep_values(permutation_matrix(tables[i:i + step]), part)
+                           for i in range(0, len(tables), step)])
+
+
+def full_scan(part):
+    """Lexicographic scan over every table: the definition the reduced search must match."""
+    n = part.dim
+    tables = list(itertools.permutations(range(n)))
+    if n < 8:
+        values = [ep_value(permutation_matrix(t), part) for t in tables]
+    else:
+        values = stacked_values(tables, part)
+    best, best_table = -math.inf, None
+    for table, val in zip(tables, values):
+        if val > best + 1e-12:
+            best, best_table = float(val), table
+    return best, best_table
+
+
+def least_relabeling(table, part):
+    """Relabel the outputs' a and b labels in order of first occurrence."""
+    a_new, b_new = {}, {}
+    out = []
+    for image in table:
+        a, b = divmod(image, part.d2)
+        out.append(a_new.setdefault(a, len(a_new)) * part.d2 + b_new.setdefault(b, len(b_new)))
+    return tuple(out)
+
+
 class TestExhaustivePermutations:
     def test_two_qubits(self):
         best, table = exhaustive_permutation_max(P22)
@@ -115,32 +147,79 @@ class TestExhaustivePermutations:
         gate = make_basis_permutation(Bipartition(2, 3), table)
         assert abs(ep_closed(gate).value - best) < 1e-12
 
+    def test_three_by_three_reaches_bound(self):
+        part = Bipartition(3, 3)
+        result = exhaustive_permutation_max(part)
+        assert result == (0.5, (0, 4, 8, 5, 6, 1, 7, 2, 3))
+        assert abs(result[0] - upper_bound(part)) < 1e-12
+        assert abs(ep_closed(make_basis_permutation(part, result[1])).value - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("part", [Bipartition(2, 5), Bipartition(5, 2)], ids=str)
+    def test_two_by_five_stays_below_bound(self, part):
+        best, table = exhaustive_permutation_max(part)
+        assert abs(best - 37 / 90) < 1e-12
+        assert best < upper_bound(part) - 1e-9
+        assert abs(ep_closed(make_basis_permutation(part, table)).value - best) < 1e-12
+
     def test_trivial_factor(self):
         best, table = exhaustive_permutation_max(Bipartition(1, 3))
         assert best == pytest.approx(0.0, abs=1e-12)
         assert table == (0, 1, 2)
 
     def test_cap(self):
+        assert entpow.search.PERMUTATION_DIM_CAP == 10
         with pytest.raises(ResourceLimitError):
-            exhaustive_permutation_max(Bipartition(3, 3))
+            exhaustive_permutation_max(Bipartition(3, 4))
 
-    @pytest.mark.parametrize("part", [Bipartition(1, 3), P22, Bipartition(2, 3), Bipartition(3, 2)],
-                             ids=str)
+    @pytest.mark.parametrize("part", SHAPES_UP_TO_8, ids=str)
     def test_stacked_search_matches_per_table_loop(self, part):
         # 2x3 spans several sub-stacks of 113 tables, so ties across sub-stack boundaries count
-        n = part.dim
-        best, best_table = -math.inf, None
-        for table in itertools.permutations(range(n)):
-            m = np.zeros((n, n))
-            m[table, np.arange(n)] = 1.0
-            val = ep_value(m, part)
-            if val > best + 1e-12:
-                best, best_table = val, table
-        assert exhaustive_permutation_max(part) == (best, best_table)
+        result = exhaustive_permutation_max(part)
+        assert repr(result) == repr(full_scan(part))
+        assert type(result[0]) is float and all(type(k) is int for k in result[1])
 
     def test_never_exceeds_bound(self):
         best, _ = exhaustive_permutation_max(Bipartition(2, 4))
         assert best <= upper_bound(Bipartition(2, 4)) + 1e-9
+
+
+class TestOrbitRepresentatives:
+    @pytest.mark.parametrize("part", SHAPES_UP_TO_10, ids=str)
+    def test_one_sorted_permutation_per_orbit(self, part):
+        reps = entpow.search._orbit_representatives(part)
+        n = part.dim
+        orbit = math.factorial(part.d1) * math.factorial(part.d2)
+        assert reps.shape == (math.factorial(n) // orbit, n)
+        assert np.array_equal(np.sort(reps, axis=1), np.broadcast_to(np.arange(n), reps.shape))
+        rows = list(map(tuple, reps.tolist()))
+        assert rows == sorted(set(rows))  # strictly increasing in lexicographic order
+
+    @pytest.mark.parametrize("part", [P22, Bipartition(2, 3)], ids=str)
+    def test_each_table_relabels_to_exactly_one(self, part):
+        reps = {tuple(r) for r in entpow.search._orbit_representatives(part).tolist()}
+        hits = dict.fromkeys(reps, 0)
+        for table in itertools.permutations(range(part.dim)):
+            found = set()
+            for sigma in itertools.permutations(range(part.d1)):
+                for tau in itertools.permutations(range(part.d2)):
+                    relabeled = tuple(sigma[k // part.d2] * part.d2 + tau[k % part.d2]
+                                      for k in table)
+                    if relabeled in reps:
+                        found.add(relabeled)
+                        hits[relabeled] += 1
+            assert len(found) == 1
+        orbit = math.factorial(part.d1) * math.factorial(part.d2)
+        assert set(hits.values()) == {orbit}
+
+    def test_orbit_shares_value_bit_for_bit(self):
+        part = Bipartition(2, 4)
+        reps = entpow.search._orbit_representatives(part)
+        rep_value = dict(zip(map(tuple, reps.tolist()), stacked_values(reps, part)))
+        tables = list(itertools.permutations(range(part.dim)))
+        values = stacked_values(tables, part)
+        assert len(values) == 40320
+        for table, val in zip(tables, values):
+            assert val == rep_value[least_relabeling(table, part)]
 
 
 def test_ep_value_agrees_with_report():

@@ -25,7 +25,7 @@ class TestSampleQ:
         assert h.bin_edges[-1] == pytest.approx(upper_bound(part))
         assert np.all(np.diff(h.bin_edges) > 0)
 
-    def test_deterministic_and_thread_independent(self):
+    def test_deterministic(self):
         part = Bipartition(2, 3)
         a = sample_q(part, 1000, 20, SeedSpec(72))
         b = sample_q(part, 1000, 20, SeedSpec(72))
