@@ -21,7 +21,6 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -45,23 +44,6 @@ EXIT_RESOURCE = 4
 
 #: commands whose runs write a manifest and can be replayed from it
 REPLAYABLE = ("eval", "mc", "dist", "optimize")
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce one command's output."""
-
-    command: str
-    part: dict
-    seed: dict
-    parameters: dict = field(default_factory=dict)
-    argv: list[str] = field(default_factory=list)
-    tool_version: str = __version__
-    wall_time: float = 0.0
-
-    def write(self, out_path: Path) -> None:
-        manifest_path = Path(str(out_path) + ".manifest.json")
-        manifest_path.write_text(json.dumps(asdict(self), indent=2) + "\n")
 
 
 def _dims_from_args(args, square: bool = False) -> tuple[int, int]:
@@ -124,14 +106,16 @@ def _write_manifest(args, part: Bipartition, started: float) -> None:
         if value is not None:
             argv += [f"--{key}", str(value)]
     recorded_elsewhere = {"seed", "stream"} | (set() if "gate" in options else {"d", "d1", "d2"})
-    RunManifest(
-        command=args.command,
-        part={"d1": part.d1, "d2": part.d2},
-        seed={"master_seed": args.seed, "stream_index": args.stream},
-        parameters={k: v for k, v in options.items() if k not in recorded_elsewhere},
-        argv=argv,
-        wall_time=time.perf_counter() - started,
-    ).write(Path(args.out))
+    manifest = {
+        "command": args.command,
+        "part": {"d1": part.d1, "d2": part.d2},
+        "seed": {"master_seed": args.seed, "stream_index": args.stream},
+        "parameters": {k: v for k, v in options.items() if k not in recorded_elsewhere},
+        "argv": argv,
+        "tool_version": __version__,
+        "wall_time": time.perf_counter() - started,
+    }
+    Path(args.out + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _seed_from_args(args) -> SeedSpec:

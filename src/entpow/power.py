@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .sampling import SeedSpec, block_sizes, product_state_block
+from .sampling import SeedSpec, block_sizes, haar_unitary, product_state_block
 from .tensorops import Bipartition, ensure_finite, kron, pair_exchange, permutation_matrix
 
 #: absolute tolerance for the unitarity check on gate construction
@@ -97,11 +97,6 @@ def upper_bound(part: Bipartition) -> float:
     return (b - b / a) / (b + 1)
 
 
-def max_linear_entropy(part: Bipartition) -> float:
-    """Largest linear entropy a pure state on this bipartition can have: 1 - 1/min(d1,d2)."""
-    return 1.0 - 1.0 / min(part.d1, part.d2)
-
-
 def linear_entropy(state: np.ndarray, part: Bipartition) -> float:
     """Linear entropy ``1 - tr(rho^2)`` of a pure state, ``rho`` the first-factor reduction.
 
@@ -114,9 +109,19 @@ def linear_entropy(state: np.ndarray, part: Bipartition) -> float:
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-10:
         raise ValidationError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
-    m = psi.reshape(part.d1, part.d2)
-    rho = m @ m.conj().T
-    return 1.0 - float(np.trace(rho @ rho).real)
+    return float(_linear_entropies(psi[None], part)[0])
+
+
+def _linear_entropies(states: np.ndarray, part: Bipartition) -> np.ndarray:
+    """Linear entropies of an ``(N, d1*d2)`` stack of (unvalidated) pure states, ``(N,)``.
+
+    The one output-entropy kernel: :func:`linear_entropy` is its ``N = 1``
+    case, and :func:`ep_monte_carlo` and :func:`ep_on_states` call it on
+    batches of output states.
+    """
+    m = states.reshape(-1, part.d1, part.d2)
+    purity = np.einsum("nab,ncb,ncd,nad->n", m, m.conj(), m, m.conj(), optimize=True)
+    return 1.0 - purity.real
 
 
 def _rearranged(stack: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
@@ -258,9 +263,7 @@ def _batch_entropies(matrix: np.ndarray, part: Bipartition,
                      p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Linear entropies of ``U (psi1 (x) psi2)`` for batched rows of states."""
     prod = np.einsum("ni,nj->nij", p1, p2).reshape(p1.shape[0], part.dim)
-    out = (prod @ matrix.T).reshape(-1, part.d1, part.d2)
-    purity = np.einsum("nab,ncb,ncd,nad->n", out, out.conj(), out, out.conj(), optimize=True)
-    return 1.0 - purity.real
+    return _linear_entropies(prod @ matrix.T, part)
 
 
 def ep_monte_carlo(gate: UnitaryGate, n_samples: int, seed: SeedSpec) -> EntanglingPowerReport:
@@ -288,16 +291,28 @@ def ep_on_states(gate: UnitaryGate, states: list[tuple[np.ndarray, np.ndarray]])
     """Plain average of output linear entropies over an explicit list of product pairs.
 
     Supports arbitrary user-chosen input distributions, e.g. one supported on
-    computational basis states only.
+    computational basis states only.  Each factor state may be flat or a
+    column; each product ``|psi1| |psi2|`` must be 1 to within 1e-10.
     """
     if not states:
         raise ValidationError("states list is empty")
     part = gate.part
-    total = 0.0
-    for p1, p2 in states:
-        psi = kron(np.asarray(p1).reshape(-1, 1), np.asarray(p2).reshape(-1, 1))
-        total += linear_entropy(gate.matrix @ psi, part)
-    return total / len(states)
+    first, second = zip(*states)
+    p1 = _factor_states(first, part.d1, "first")
+    p2 = _factor_states(second, part.d2, "second")
+    defect = np.abs(np.linalg.norm(p1, axis=1) * np.linalg.norm(p2, axis=1) - 1.0).max()
+    if defect > 1e-10:
+        raise ValidationError(f"product state is not normalized: |norm - 1| = {defect:.3e}")
+    return float(_batch_entropies(gate.matrix, part, p1, p2).mean())
+
+
+def _factor_states(states, d: int, which: str) -> np.ndarray:
+    """One factor's states as a finite complex ``(N, d)`` array; any other length is refused."""
+    rows = [np.ravel(s) for s in states]
+    for row in rows:
+        if row.shape != (d,):
+            raise DimensionError(f"{which}-factor state has dimension {row.size}, expected {d}")
+    return ensure_finite(np.array(rows), f"{which}-factor state")
 
 
 def swap_symmetric_ep(gate: UnitaryGate) -> float:
@@ -325,7 +340,5 @@ def swap_symmetric_ep(gate: UnitaryGate) -> float:
 
 def haar_gate(part: Bipartition, seed: SeedSpec) -> UnitaryGate:
     """A Haar-random gate on the given bipartition."""
-    from .sampling import haar_unitary
-
     return UnitaryGate(haar_unitary(part.dim, seed), part)
 

@@ -92,18 +92,6 @@ def _haar_unitary_from(rng: np.random.Generator, n: int, count: int | None = Non
     return q * (d / np.abs(d))[..., None, :]
 
 
-def product_state_pair(part: Bipartition, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Independent Haar states on the two factors, drawn from one stream.
-
-    The first factor's state is drawn first, then the second's, so that the
-    pair is a deterministic function of the seed.
-    """
-    rng = seed.generator()
-    p1 = _unit_rows(_complex_normal(rng, part.d1)).reshape(part.d1, 1)
-    p2 = _unit_rows(_complex_normal(rng, part.d2)).reshape(part.d2, 1)
-    return p1, p2
-
-
 def block_sizes(n_samples: int) -> list[int]:
     """Deterministic partition of ``n_samples`` over at most ``NUM_STREAM_BLOCKS`` streams.
 
@@ -120,8 +108,8 @@ def block_sizes(n_samples: int) -> list[int]:
 def product_state_block(part: Bipartition, seed: SeedSpec, count: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` Haar product pairs from one stream, as ``(count, d1)`` and ``(count, d2)`` arrays.
 
-    All first-factor states are drawn before the second-factor ones; the first
-    pair of a block of size 1 coincides with :func:`product_state_pair`.
+    All first-factor states are drawn before the second-factor ones, so the
+    first row of ``p1`` is the state :func:`haar_state` draws from the same seed.
     """
     rng = seed.generator()
     p1 = _unit_rows(_complex_normal(rng, (count, part.d1)))

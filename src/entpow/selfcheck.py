@@ -14,7 +14,7 @@ from .channels import kraus_from_unitary
 from .gates import make_additive_permutation, make_cnot, make_controlled_family, make_identity, make_swap
 from .power import UnitaryGate, ep_closed, ep_dense_oracle, ep_value, haar_gate, swap_symmetric_ep, upper_bound
 from .sampling import SeedSpec, haar_unitary
-from .tensorops import Bipartition, antisym_projector_13, kron, pair_exchange
+from .tensorops import Bipartition, kron, pair_exchange
 
 ATOL = 1e-10
 
@@ -57,18 +57,17 @@ def run_self_checks(seed: SeedSpec | None = None,
     # exchange-operator trace identities
     for (d1, d2) in [(2, 2), (2, 3)]:
         part = Bipartition(d1, d2)
-        results.append(_check(
-            f"tr T13 = d1 d2^2 at {part}",
-            abs(np.trace(pair_exchange(part, "T13")) - d1 * d2 * d2)))
+        t13 = pair_exchange(part, "T13")
+        results.append(_check(f"tr T13 = d1 d2^2 at {part}", abs(np.trace(t13) - d1 * d2 * d2)))
         results.append(_check(
             f"tr T24 = d1^2 d2 at {part}",
             abs(np.trace(pair_exchange(part, "T24")) - d1 * d1 * d2)))
         results.append(_check(
             f"tr T13T24 = d1 d2 at {part}",
             abs(np.trace(pair_exchange(part, "T13T24")) - d1 * d2)))
-        p_minus = antisym_projector_13(part)
-        results.append(_check(f"antisymmetric projector idempotent at {part}",
-                              float(np.abs(p_minus @ p_minus - p_minus).max())))
+        # (1 - T13)/2, the projector the dense oracle pairs against, is idempotent iff T13^2 = 1
+        results.append(_check(f"T13 is an involution at {part}",
+                              float(np.abs(t13 @ t13 - np.eye(t13.shape[0])).max())))
 
     # closed form vs dense operator oracle on random gates
     for (d1, d2) in [(2, 2), (2, 3), (3, 3), (2, 4)]:

@@ -15,9 +15,6 @@ from .errors import DimensionError, ValidationError
 #: cap on any matrix side produced by :func:`kron`
 DEFAULT_DIM_CAP = 2000
 
-#: absolute tolerance for structural checks (unitarity, Hermiticity, idempotence)
-STRUCT_ATOL = 1e-10
-
 _EXCHANGES = ("T13", "T24", "T13T24")
 
 
@@ -63,34 +60,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"kron result {rows}x{cols} exceeds the configured cap of {DEFAULT_DIM_CAP} per side"
         )
     return np.kron(a, b)
-
-
-def partial_trace(m: np.ndarray, part: Bipartition, keep: str = "first") -> np.ndarray:
-    """Trace out one factor of a square matrix on ``C^{d1} (x) C^{d2}``.
-
-    Parameters
-    ----------
-    m : ndarray
-        Square matrix of side ``part.dim``.
-    keep : {"first", "second"}
-        Which factor the reduced matrix lives on.
-
-    Returns
-    -------
-    ndarray
-        The ``d1 x d1`` (``keep="first"``) or ``d2 x d2`` (``keep="second"``)
-        reduced matrix; the total trace is preserved.
-    """
-    m = np.asarray(m)
-    n = part.dim
-    if m.shape != (n, n):
-        raise DimensionError(f"expected a {n}x{n} matrix for bipartition {part}, got {m.shape}")
-    t = m.reshape(part.d1, part.d2, part.d1, part.d2)
-    if keep == "first":
-        return np.einsum("ijkj->ik", t)
-    if keep == "second":
-        return np.einsum("ijil->jl", t)
-    raise ValidationError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
 def permutation_matrix(images) -> np.ndarray:
@@ -143,8 +112,3 @@ def pair_exchange(part: Bipartition, which: str = "T13") -> np.ndarray:
         rows = idx.transpose(2, 3, 0, 1)
     return permutation_matrix(rows.ravel())
 
-
-def antisym_projector_13(part: Bipartition) -> np.ndarray:
-    """Projector ``(1 - T13)/2`` onto the antisymmetric subspace of the two ``d1`` factors."""
-    t13 = pair_exchange(part, "T13")
-    return (np.eye(t13.shape[0]) - t13) / 2.0

@@ -3,12 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from entpow.power import ep_value_and_grad
+from entpow.sampling import product_state_block
 
 from entpow import (Bipartition, DimensionError, SeedSpec, UnitaryGate, ValidationError,
                     ep_closed, ep_dense_oracle, ep_monte_carlo, ep_on_states, ep_value, ep_values,
                     haar_gate, haar_mean, haar_unitary, kron, linear_entropy,
                     make_basis_permutation, make_cnot, make_identity, make_swap,
-                    max_linear_entropy, partial_trace, swap_symmetric_ep, upper_bound)
+                    swap_symmetric_ep, upper_bound)
 
 P22 = Bipartition(2, 2)
 PARTS = [Bipartition(2, 2), Bipartition(2, 3), Bipartition(3, 3), Bipartition(2, 4)]
@@ -52,19 +53,26 @@ class TestLinearEntropy:
     def test_tilted_superposition(self):
         # oracle: the reduced matrix is diag(0.9, 0.1), purity 0.82
         psi = np.array([np.sqrt(0.9), 0, 0, np.sqrt(0.1)], dtype=complex)
-        rho = partial_trace(np.outer(psi, psi.conj()), P22, "first")
-        assert_allclose(rho, np.diag([0.9, 0.1]), atol=1e-12)
         assert_allclose(linear_entropy(psi, P22), 0.18, atol=1e-12)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError, match="not normalized"):
             linear_entropy(np.array([1.0, 1.0, 0, 0]), P22)
 
+    def test_flat_and_column_shapes(self):
+        psi = haar_unitary(6, SeedSpec(32))[:, 0]
+        part = Bipartition(2, 3)
+        flat = linear_entropy(psi, part)
+        assert 0 < flat < 0.5
+        assert linear_entropy(psi.reshape(-1, 1), part) == flat
+        assert linear_entropy(psi.reshape(1, -1), part) == flat
+        with pytest.raises(DimensionError):
+            linear_entropy(psi[:4], part)
+
     def test_range(self):
         seed = SeedSpec(31)
         part = Bipartition(2, 5)
-        cap = max_linear_entropy(part)
-        assert_allclose(cap, 0.5)
+        cap = 1 - 1 / min(2, 5)    # 1 - 1/min(d1, d2)
         for i in range(50):
             psi = haar_unitary(10, seed.substream(i))[:, 0]
             e = linear_entropy(psi, part)
@@ -248,6 +256,29 @@ class TestOnStates:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             ep_on_states(make_cnot(), [])
+
+    @pytest.mark.parametrize("part", [Bipartition(2, 3), Bipartition(3, 3)])
+    def test_matches_per_pair_entropies(self, part):
+        # oracle: one validated linear_entropy per output state U (p1 x p2)
+        g = haar_gate(part, SeedSpec(33))
+        p1, p2 = product_state_block(part, SeedSpec(34), 200)
+        pairs = [(a, b.reshape(-1, 1)) for a, b in zip(p1, p2)]
+        per_pair = [linear_entropy(g.matrix @ kron(a.reshape(-1, 1), b), part) for a, b in pairs]
+        assert abs(ep_on_states(g, pairs) - np.mean(per_pair)) < 1e-12
+
+    def test_rejects_bad_pairs(self):
+        g = make_cnot()
+        good = (ket(1, 0), ket(1, 1))
+        with pytest.raises(DimensionError):
+            ep_on_states(g, [good, (ket(1, 0, 0), ket(1, 1))])
+        with pytest.raises(DimensionError):
+            ep_on_states(g, [good, (ket(1, 0), ket(1, 1, 0))])
+        with pytest.raises(DimensionError):
+            ep_on_states(g, [(ket(1, 1, 0, 0), ket(1))])
+        with pytest.raises(ValidationError):
+            ep_on_states(g, [good, (np.array([np.nan, 1.0]), ket(1, 1))])
+        with pytest.raises(ValidationError, match="not normalized"):
+            ep_on_states(g, [good, (ket(1, 0), np.array([1.0, 1.0]))])
 
 
 class TestAnalyticFunctions:

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from entpow import Bipartition, DimensionError, SeedSpec, ValidationError, haar_state, haar_unitary, kron, linear_entropy, product_state_pair
+from entpow import Bipartition, DimensionError, SeedSpec, ValidationError, haar_state, haar_unitary, kron, linear_entropy
 from entpow.sampling import _haar_unitary_from, block_sizes, product_state_block
 
 
 def _moment(fn, d, n, seed):
-    vals = np.array([fn(haar_state(d, seed.substream(i))) for i in range(n)])
+    """Sample mean and its standard error of ``fn`` over ``n`` Haar states, as ``(n, d)`` rows."""
+    vals = fn(product_state_block(Bipartition(d, 1), seed, n)[0])
     return vals.mean(), vals.std(ddof=1) / np.sqrt(n)
 
 
@@ -55,7 +56,7 @@ class TestHaarState:
         # 2 C_d to each diagonal doubled-basis direction
         d, n = 2, 100_000
         oracle = 2.0 / (d * (d + 1))
-        mean, stderr = _moment(lambda p: float(np.abs(p[0, 0]) ** 4), d, n, SeedSpec(21))
+        mean, stderr = _moment(lambda p: np.abs(p[:, 0]) ** 4, d, n, SeedSpec(21))
         assert abs(mean - oracle) < 3 * stderr
 
     def test_cross_moment(self):
@@ -63,14 +64,14 @@ class TestHaarState:
         d, n = 2, 100_000
         oracle = 1.0 / (d * (d + 1))
         mean, stderr = _moment(
-            lambda p: float(np.abs(p[0, 0]) ** 2 * np.abs(p[1, 0]) ** 2), d, n, SeedSpec(22))
+            lambda p: np.abs(p[:, 0]) ** 2 * np.abs(p[:, 1]) ** 2, d, n, SeedSpec(22))
         assert abs(mean - oracle) < 3 * stderr
 
     def test_unitary_invariance_of_moments(self):
         # rotating by a fixed V must leave the overlap moments unchanged
         d, n = 2, 40_000
         v = haar_unitary(d, SeedSpec(77))
-        mean, stderr = _moment(lambda p: float(np.abs((v @ p)[0, 0]) ** 4), d, n, SeedSpec(23))
+        mean, stderr = _moment(lambda p: np.abs((p @ v.T)[:, 0]) ** 4, d, n, SeedSpec(23))
         assert abs(mean - 1.0 / 3.0) < 3 * stderr
 
 
@@ -143,33 +144,29 @@ class TestStackedHaarDraw:
 
 class TestProductStatePair:
     def test_trivial_part(self):
-        p1, p2 = product_state_pair(Bipartition(1, 1), SeedSpec(1))
+        p1, p2 = product_state_block(Bipartition(1, 1), SeedSpec(1), 1)
         assert p1.shape == (1, 1) and p2.shape == (1, 1)
 
     def test_product_has_zero_entropy(self):
         part = Bipartition(3, 4)
-        p1, p2 = product_state_pair(part, SeedSpec(2))
-        assert abs(linear_entropy(kron(p1, p2), part)) < 1e-12
+        p1, p2 = product_state_block(part, SeedSpec(2), 1)
+        assert abs(linear_entropy(kron(p1[0], p2[0]), part)) < 1e-12
 
     def test_factorized_moment(self):
         # E |<00|psi1 x psi2>|^4 = (1/3)^2 at 2x2: the factor averages multiply
         part = Bipartition(2, 2)
         n = 100_000
-        seed = SeedSpec(26)
-        vals = np.empty(n)
-        for i in range(n):
-            p1, p2 = product_state_pair(part, seed.substream(i))
-            vals[i] = np.abs(p1[0, 0] * p2[0, 0]) ** 4
+        p1, p2 = product_state_block(part, SeedSpec(26), n)
+        vals = np.abs(p1[:, 0] * p2[:, 0]) ** 4
         stderr = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - 1.0 / 9.0) < 3 * stderr
 
     def test_block_matches_single_draw(self):
-        part = Bipartition(2, 3)
+        # the batched moment tests rely on this: a block's first-factor rows are Haar states
         seed = SeedSpec(5, 17)
-        p1, p2 = product_state_pair(part, seed)
-        b1, b2 = product_state_block(part, seed, 1)
-        assert_array_equal(p1.ravel(), b1[0])
-        assert_array_equal(p2.ravel(), b2[0])
+        for d in range(1, 8):
+            p1 = product_state_block(Bipartition(d, 1), seed, 1)[0]
+            assert_array_equal(haar_state(d, seed).ravel(), p1[0])
 
 
 class TestBlockSizes:

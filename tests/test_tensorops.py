@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from entpow import Bipartition, DimensionError, ValidationError, antisym_projector_13, kron, pair_exchange, partial_trace
+from entpow import Bipartition, DimensionError, ValidationError, kron, pair_exchange
 from entpow.tensorops import permutation_matrix
 
 
@@ -50,51 +50,6 @@ class TestKron:
     def test_dimension_cap(self):
         with pytest.raises(DimensionError):
             kron(np.eye(100), np.eye(100))
-
-
-class TestPartialTrace:
-    def test_bell_projector(self):
-        bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        rho = np.outer(bell, bell.conj())
-        assert_allclose(partial_trace(rho, Bipartition(2, 2), "second"), np.eye(2) / 2, atol=1e-12)
-
-    def test_product_case(self):
-        rng = np.random.default_rng(13)
-        ra = rand_c(rng, 2, 2)
-        rb = rand_c(rng, 3, 3)
-        rb /= np.trace(rb)
-        assert_allclose(partial_trace(kron(ra, rb), Bipartition(2, 3), "first"), ra, atol=1e-12)
-
-    def test_trace_preserved_vs_full_summation(self):
-        # oracle: explicit full-index summation
-        rng = np.random.default_rng(14)
-        m = rand_c(rng, 6, 6)
-        m = m + m.conj().T
-        part = Bipartition(2, 3)
-        for keep in ("first", "second"):
-            reduced = partial_trace(m, part, keep)
-            assert_allclose(np.trace(reduced), np.trace(m), atol=1e-12)
-        explicit = np.zeros((2, 2), dtype=complex)
-        for i in range(2):
-            for k in range(2):
-                for j in range(3):
-                    explicit[i, k] += m[i * 3 + j, k * 3 + j]
-        assert_allclose(partial_trace(m, part, "first"), explicit, atol=1e-12)
-
-    def test_kron_identity(self):
-        rng = np.random.default_rng(15)
-        a = rand_c(rng, 3, 3)
-        b = rand_c(rng, 2, 2)
-        got = partial_trace(kron(a, b), Bipartition(3, 2), "first")
-        assert_allclose(got, a * np.trace(b), atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            partial_trace(np.eye(5), Bipartition(2, 3))
-
-    def test_bad_selector(self):
-        with pytest.raises(ValidationError):
-            partial_trace(np.eye(6), Bipartition(2, 3), keep="third")
 
 
 class TestPermutationMatrix:
@@ -168,20 +123,3 @@ class TestPairExchange:
         with pytest.raises(ValidationError):
             pair_exchange(Bipartition(2, 2), "T12")
 
-
-class TestAntisymProjector:
-    def test_idempotent_hermitian(self):
-        p = antisym_projector_13(Bipartition(2, 2))
-        assert_allclose(p @ p, p, atol=1e-12)
-        assert_allclose(p, p.conj().T, atol=1e-12)
-
-    def test_trace(self):
-        # (dim^2 - tr T13)/2 = (16 - 8)/2
-        p = antisym_projector_13(Bipartition(2, 2))
-        assert_allclose(np.trace(p), 4.0)
-
-    def test_antisymmetric_eigenspace(self):
-        part = Bipartition(2, 2)
-        p = antisym_projector_13(part)
-        t13 = pair_exchange(part, "T13")
-        assert_allclose(p @ t13, -p, atol=1e-12)
