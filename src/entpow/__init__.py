@@ -17,7 +17,7 @@ from .power import (EntanglingPowerReport, UnitaryGate, ep_closed, ep_dense_orac
                     linear_entropy, swap_symmetric_ep, upper_bound)
 from .sampling import SeedSpec, haar_state, haar_unitary
 from .search import OptimizeConfig, OptimizeResult, exhaustive_permutation_max, maximize_ep
-from .spectrum import Histogram, monotonicity_score, sample_q
+from .spectrum import Histogram, sample_q
 from .tensorops import Bipartition, kron, pair_exchange
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
     "exhaustive_permutation_max", "haar_gate", "haar_mean", "haar_state", "haar_unitary",
     "kraus_from_unitary", "kron", "linear_entropy", "load_gate", "make_additive_permutation",
     "make_basis_permutation", "make_bilocal", "make_cnot", "make_controlled_family",
-    "make_identity", "make_swap", "maximize_ep", "monotonicity_score",
+    "make_identity", "make_swap", "maximize_ep",
     "pair_exchange", "partial_ep", "partial_ep_bound",
     "sample_q", "save_gate", "shift_matrix", "swap_symmetric_ep", "unitality_gap",
     "upper_bound",

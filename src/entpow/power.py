@@ -273,8 +273,8 @@ def ep_monte_carlo(gate: UnitaryGate, n_samples: int, seed: SeedSpec) -> Entangl
     stream order, so the estimate is deterministic for a given seed.  The
     report carries the sample count and the standard error of the mean.
     """
-    if n_samples < 1:
-        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
+    if n_samples < 2:
+        raise ValidationError(f"n_samples must be >= 2 for a standard error, got {n_samples}")
     part = gate.part
     chunks = []
     for b, count in enumerate(block_sizes(n_samples)):
@@ -282,7 +282,7 @@ def ep_monte_carlo(gate: UnitaryGate, n_samples: int, seed: SeedSpec) -> Entangl
         chunks.append(_batch_entropies(gate.matrix, part, p1, p2))
     values = np.concatenate(chunks)
     mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else float("inf")
+    stderr = float(values.std(ddof=1) / math.sqrt(n_samples))
     i0, i1 = (float(t[0]) for t in _i0_i1(gate.matrix, part))
     return _report(mean, i0, i1, part, "monte_carlo", mc_samples=n_samples, mc_stderr=stderr)
 

@@ -33,6 +33,9 @@ PERMUTATION_DIM_CAP = 10
 #: step sizes eta tried along every ascent direction, 2^4 down to 2^-11
 STEP_LADDER = 2.0 ** np.arange(4, -12, -1)
 
+#: an ascent stops once its best step gains at most this much
+ASCENT_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class OptimizeConfig:
@@ -42,13 +45,10 @@ class OptimizeConfig:
     seed: SeedSpec
     restarts: int = 16
     max_iters: int = 4000
-    tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise ValidationError("restarts and max_iters must be positive")
-        if not self.tolerance > 0:
-            raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
 
 
 @dataclass(eq=False)
@@ -68,7 +68,7 @@ def _ascend(cfg: OptimizeConfig, restart: int):
 
     Iteration 0 is the Haar-random start; each further iteration takes one
     gradient and evaluates one step ladder.  The ascent stops when the best
-    candidate does not improve, when it gains at most ``tolerance``, or after
+    candidate does not improve, when it gains at most ``ASCENT_TOLERANCE``, or after
     ``max_iters`` steps.
     """
     part = cfg.part
@@ -91,7 +91,7 @@ def _ascend(cfg: OptimizeConfig, restart: int):
             break
         u, val = candidates[k], float(values[k])
         trace.append((steps, val))
-        if gain <= cfg.tolerance:
+        if gain <= ASCENT_TOLERANCE:
             break
     return val, u, trace, steps + 1
 

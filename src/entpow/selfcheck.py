@@ -18,6 +18,9 @@ from .tensorops import Bipartition, kron, pair_exchange
 
 ATOL = 1e-10
 
+#: master seed of the random gates the suite checks
+SEED = SeedSpec(20260811)
+
 
 @dataclass
 class CheckResult:
@@ -30,15 +33,13 @@ def _check(name: str, deviation: float, tol: float = ATOL) -> CheckResult:
     return CheckResult(name, deviation <= tol, f"deviation {deviation:.3e} (tol {tol:.1e})")
 
 
-def run_self_checks(seed: SeedSpec | None = None,
-                    extra_gate: UnitaryGate | None = None) -> list[CheckResult]:
+def run_self_checks(extra_gate: UnitaryGate | None = None) -> list[CheckResult]:
     """Run the full identity suite; returns one result per check."""
-    seed = seed or SeedSpec(20260811)
     results: list[CheckResult] = []
     stream = iter(range(10_000))
 
     def gate(part):
-        return haar_gate(part, seed.substream(next(stream)))
+        return haar_gate(part, SEED.substream(next(stream)))
 
     # fixed gate values
     results.append(_check("identity (3,3) entangles nothing",
@@ -84,8 +85,8 @@ def run_self_checks(seed: SeedSpec | None = None,
         for _ in range(4):
             g = gate(part)
             base = ep_closed(g).value
-            u1 = haar_unitary(d1, seed.substream(next(stream)))
-            u2 = haar_unitary(d2, seed.substream(next(stream)))
+            u1 = haar_unitary(d1, SEED.substream(next(stream)))
+            u2 = haar_unitary(d2, SEED.substream(next(stream)))
             biloc = kron(u1, u2)
             left = ep_value(biloc @ g.matrix, part)
             right = ep_value(g.matrix @ biloc, part)
@@ -105,7 +106,7 @@ def run_self_checks(seed: SeedSpec | None = None,
         worst = 0.0
         for _ in range(5):
             g = gate(part)
-            rng = seed.substream(next(stream)).generator()
+            rng = SEED.substream(next(stream)).generator()
             psi2 = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
             psi2 /= np.linalg.norm(psi2)
             fam = kraus_from_unitary(g, psi2)
@@ -123,8 +124,8 @@ def run_self_checks(seed: SeedSpec | None = None,
     if extra_gate is not None:
         g = extra_gate
         base = ep_closed(g).value
-        u1 = haar_unitary(g.d1, seed.substream(next(stream)))
-        u2 = haar_unitary(g.d2, seed.substream(next(stream)))
+        u1 = haar_unitary(g.d1, SEED.substream(next(stream)))
+        u2 = haar_unitary(g.d2, SEED.substream(next(stream)))
         left = ep_value(kron(u1, u2) @ g.matrix, g.part)
         results.append(_check("user gate: bilocal invariance", abs(left - base)))
         results.append(_check("user gate: value within [0, bound]",

@@ -1,9 +1,9 @@
 """Distribution of entangling power under Haar-random unitaries.
 
 For square bipartitions the density is markedly dimension dependent: at
-``2x2`` it grows monotonically toward the maximum (most two-qubit gates are
-nearly optimal entanglers), while from ``3x3`` on it vanishes at both ends of
-the allowed range and peaks in the interior.
+``2x2`` it grows strictly up to ``2/9`` and is zero above it (criterion 9 in
+``tests/test_acceptance.py`` fits it to the exact density), while from ``3x3``
+on it vanishes at both ends of the allowed range and peaks in the interior.
 """
 
 from dataclasses import dataclass
@@ -78,37 +78,3 @@ def _haar_values(part: Bipartition, n_samples: int, seed: SeedSpec) -> np.ndarra
             chunks.append(ep_values(_haar_unitary_from(rng, n, min(substack, count - start)), part))
     return np.concatenate(chunks)
 
-
-def monotonicity_score(h: Histogram) -> float:
-    """Rank correlation between bin index and count over the occupied range.
-
-    Scores near +1 mean the density grows monotonically toward the upper end
-    of its support (the two-qubit signature); interior-peaked densities score
-    much lower.  Requires at least 10 nonempty bins up to the last occupied
-    one.
-    """
-    counts = np.asarray(h.counts)
-    nonzero = np.nonzero(counts)[0]
-    if nonzero.size == 0:
-        raise ValidationError("histogram is empty")
-    last = nonzero[-1]
-    leading = counts[: last + 1]
-    if np.count_nonzero(leading) < 10:
-        raise ValidationError(
-            f"need >= 10 nonempty leading bins for a meaningful score, got {np.count_nonzero(leading)}"
-        )
-    if np.all(leading == leading[0]):
-        raise ValidationError("histogram counts are degenerate (constant)")
-    # Spearman's rho: Pearson correlation of the ranks; bin indices are their own ranks
-    return float(np.corrcoef(np.arange(leading.size), _average_ranks(leading))[0, 1])
-
-
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """Ranks ``1..n`` of ``x``; tied entries share the mean of the ranks they span."""
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    ends = np.r_[starts[1:], xs.size]
-    ranks = np.empty(x.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
-    return ranks

@@ -7,6 +7,7 @@ carry four factors ``(d1, d2, d1, d2)`` flattened row-major in the same way.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -26,6 +27,8 @@ class Bipartition:
     d2: int
 
     def __post_init__(self):
+        if not all(isinstance(d, Integral) and not isinstance(d, bool) for d in (self.d1, self.d2)):
+            raise DimensionError(f"factor dimensions must be integers, got ({self.d1!r}, {self.d2!r})")
         if self.d1 < 1 or self.d2 < 1:
             raise DimensionError(f"factor dimensions must be >= 1, got ({self.d1}, {self.d2})")
 

@@ -14,8 +14,10 @@ from entpow import (Bipartition, OptimizeConfig, SeedSpec, ep_closed, ep_dense_o
                     ep_monte_carlo, ep_value, exhaustive_permutation_max, haar_gate,
                     haar_mean, haar_state, haar_unitary, kraus_from_unitary, kron,
                     make_additive_permutation, make_cnot, make_controlled_family,
-                    make_identity, make_swap, maximize_ep, monotonicity_score,
+                    make_identity, make_swap, maximize_ep,
                     partial_ep, sample_q, swap_symmetric_ep, upper_bound)
+
+from two_qubit import KS_CRITICAL_001, exact_bin_probabilities, ks_gap
 
 EXACT = 1e-10
 
@@ -201,9 +203,17 @@ def test_criterion_8_permutation_exhaustion():
 
 
 def test_criterion_9_density_shape():
-    with criterion(9, "density shape: monotone at 2x2, vanishing tails at 3x3 and 4x4"):
+    with criterion(9, "density shape: exact fit at 2x2 (KS, level 0.001), vanishing tails at 3x3 and 4x4"):
         h22 = sample_q(Bipartition(2, 2), 20000, 40, SeedSpec(1009))
-        assert monotonicity_score(h22) > 0.9
+        edges = h22.bin_edges
+        exact = exact_bin_probabilities(edges)
+        # the exact density rises strictly up to 2/9, below the bound 1/3, and is 0 above it
+        below, above = edges[1:] <= 2 / 9, edges[:-1] >= 2 / 9
+        assert np.all(np.diff(exact[below]) > 0) and np.all(exact[above] == 0)
+        k = int(below.sum())   # the bin holding 2/9 is denser still over its part below 2/9
+        assert exact[k] / (2 / 9 - edges[k]) > exact[k - 1] / (edges[k] - edges[k - 1])
+        # Kolmogorov-Smirnov at the bin edges, level 0.001 (conservative on a subset of points)
+        assert ks_gap(h22.counts, exact) < KS_CRITICAL_001 / np.sqrt(h22.n_samples)
         for part in [Bipartition(3, 3), Bipartition(4, 4)]:
             h = sample_q(part, 20000, 100, SeedSpec(1010))
             nonzero = np.nonzero(h.counts)[0]

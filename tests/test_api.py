@@ -9,17 +9,19 @@ PUBLIC = [
     "haar_mean", "haar_state", "haar_unitary", "kraus_from_unitary", "kron", "linear_entropy",
     "load_gate", "make_additive_permutation", "make_basis_permutation", "make_bilocal",
     "make_cnot", "make_controlled_family", "make_identity", "make_swap", "maximize_ep",
-    "monotonicity_score", "pair_exchange", "partial_ep", "partial_ep_bound", "sample_q",
+    "pair_exchange", "partial_ep", "partial_ep_bound", "sample_q",
     "save_gate", "shift_matrix", "swap_symmetric_ep", "unitality_gap", "upper_bound",
 ]
 
 #: removed names: partial_trace and max_linear_entropy had no caller, product_state_pair is
-#: product_state_block with count 1, and antisym_projector_13 is (1 - T13)/2 from pair_exchange
-REMOVED = ["antisym_projector_13", "max_linear_entropy", "partial_trace", "product_state_pair"]
+#: product_state_block with count 1, antisym_projector_13 is (1 - T13)/2 from pair_exchange,
+#: and monotonicity_score gave way to the exact two-qubit density in tests/two_qubit.py
+REMOVED = ["antisym_projector_13", "max_linear_entropy", "monotonicity_score", "partial_trace",
+           "product_state_pair"]
 
 
 def test_public_surface_is_exactly_the_listed_names():
-    assert len(PUBLIC) == 45
+    assert len(PUBLIC) == 44
     assert sorted(entpow.__all__) == sorted(PUBLIC)
     for name in PUBLIC:
         assert hasattr(entpow, name), name

@@ -107,6 +107,14 @@ class TestMc:
         assert abs(mc["value"]) <= 4 * max(mc["mc_stderr"], 1e-15)
 
 
+    def test_one_sample_writes_nothing(self, capsys, tmp_path):
+        # one sample has no standard error, and JSON has no Infinity to record it
+        code = main(["mc", "--gate", "cnot", "--samples", "1", "--out", str(tmp_path / "mc.json")])
+        assert code == EXIT_VALIDATION
+        assert "n_samples must be >= 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestDist:
     def test_csv_and_manifest(self, capsys, tmp_path):
         out_path = tmp_path / "h.csv"

@@ -233,6 +233,9 @@ class TestMonteCarlo:
     def test_rejects_no_samples(self):
         with pytest.raises(ValidationError):
             ep_monte_carlo(make_cnot(), 0, SeedSpec(0))
+        # a standard error needs two samples
+        with pytest.raises(ValidationError):
+            ep_monte_carlo(make_cnot(), 1, SeedSpec(0))
 
 
 class TestOnStates:

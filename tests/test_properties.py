@@ -1,5 +1,6 @@
 """Property-based checks of the closed form over d1, d2 <= 4 and seeds: invariances,
-agreement with the dense oracle, and the bounds ``0 <= e <= upper_bound``.
+agreement with the dense oracle, the bounds ``0 <= e <= upper_bound``, and at 2x2 the
+exact two-qubit reference of ``two_qubit.py``.
 
 Examples are derandomized, so every run draws the same gates.
 """
@@ -9,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entpow import (Bipartition, SeedSpec, UnitaryGate, ep_closed, ep_dense_oracle, ep_value,
-                    haar_unitary, kron, make_basis_permutation, make_swap, upper_bound)
+                    ep_values, haar_unitary, kron, make_basis_permutation, make_cnot,
+                    make_identity, make_swap, upper_bound)
+
+from two_qubit import cartan_gate, ep_cartan, ep_from_invariant
 
 TOL = 1e-12
 ORACLE_TOL = 1e-10
@@ -86,3 +90,30 @@ def test_swap_invariance(d, seed):
     value = ep_value(u, part)
     assert abs(ep_value(swap @ u, part) - value) <= TOL
     assert abs(ep_value(u @ swap, part) - value) <= TOL
+
+
+P22 = Bipartition(2, 2)
+angles = st.floats(min_value=0.0, max_value=np.pi)
+
+
+@checked
+@given(seed=seeds)
+def test_two_qubit_value_from_the_makhlin_invariant(seed):
+    u = haar_unitary(4, SeedSpec(seed))
+    assert abs(ep_from_invariant(u) - ep_value(u, P22)) <= TOL
+
+
+def test_two_qubit_invariant_on_named_gates():
+    gates = [make_cnot(), make_swap(2), make_identity(P22)]
+    values = ep_values(np.stack([g.matrix for g in gates]), P22)
+    for gate, value in zip(gates, values):
+        assert abs(ep_from_invariant(gate.matrix) - value) <= TOL
+    assert abs(values[0] - 2 / 9) <= TOL
+
+
+@checked
+@given(c1=angles, c2=angles, c3=angles)
+def test_two_qubit_value_in_cartan_coordinates(c1, c2, c3):
+    u = cartan_gate(c1, c2, c3)
+    assert abs(ep_cartan(c1, c2, c3) - ep_value(u, P22)) <= TOL
+    assert abs(ep_from_invariant(u) - ep_value(u, P22)) <= TOL

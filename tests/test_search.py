@@ -66,8 +66,6 @@ class TestMaximizeEp:
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             OptimizeConfig(part=P22, seed=SeedSpec(0), restarts=0)
-        with pytest.raises(ValidationError):
-            OptimizeConfig(part=P22, seed=SeedSpec(0), tolerance=0)
 
     def test_every_candidate_is_unitary(self, monkeypatch):
         # accepted iterates are ladder candidates, so checking every candidate covers them

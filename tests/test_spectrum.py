@@ -1,18 +1,12 @@
 import numpy as np
 import pytest
 
-from entpow import Bipartition, Histogram, SeedSpec, ValidationError, haar_mean, monotonicity_score, sample_q, upper_bound
+from entpow import Bipartition, SeedSpec, ValidationError, haar_mean, sample_q, upper_bound
 from entpow.sampling import block_sizes
 from entpow.power import _SUBSTACK_ENTRIES
 from entpow.spectrum import _haar_values
 
-
-def synthetic(counts, part=Bipartition(2, 2)):
-    counts = np.asarray(counts)
-    edges = np.linspace(0.0, upper_bound(part), len(counts) + 1)
-    return Histogram(part=part, bin_edges=edges, counts=counts,
-                     n_samples=int(counts.sum()), seed=SeedSpec(0),
-                     empirical_mean=0.0, empirical_max=0.0)
+from two_qubit import KS_CRITICAL_001, exact_bin_probabilities, exact_mean, ks_gap
 
 
 class TestSampleQ:
@@ -90,50 +84,15 @@ class TestBatchedSampling:
         assert h.empirical_mean == float(ref.mean()) and h.empirical_max == float(ref.max())
 
 
-class TestMonotonicityScore:
-    def test_strictly_increasing_counts(self):
-        h = synthetic(np.arange(1, 21))
-        assert monotonicity_score(h) == pytest.approx(1.0)
+class TestExactTwoQubitReference:
+    def test_mean_is_the_haar_mean(self):
+        # the quadrature weights are the Haar measure: the mean is the exact 1/5
+        assert abs(exact_mean() - haar_mean(Bipartition(2, 2))) < 1e-5
 
-    def test_strictly_decreasing_counts(self):
-        h = synthetic(np.arange(20, 0, -1))
-        assert monotonicity_score(h) == pytest.approx(-1.0)
-
-    def test_trailing_zeros_ignored(self):
-        h = synthetic(list(range(1, 16)) + [0, 0, 0, 0, 0])
-        assert monotonicity_score(h) == pytest.approx(1.0)
-
-    def test_needs_enough_nonempty_bins(self):
-        with pytest.raises(ValidationError):
-            monotonicity_score(synthetic([5, 3, 2, 1, 0, 0, 0, 0, 0, 0]))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValidationError):
-            monotonicity_score(synthetic([0] * 20))
-
-    def test_rejects_constant(self):
-        with pytest.raises(ValidationError):
-            monotonicity_score(synthetic([7] * 20))
-
-    def test_two_qubit_density_is_monotone(self):
-        h = sample_q(Bipartition(2, 2), 6000, 30, SeedSpec(76))
-        assert monotonicity_score(h) > 0.85
-
-    # Spearman scores as computed by scipy.stats.spearmanr, before the numpy rewrite
-    @pytest.mark.parametrize("counts, score", [
-        (np.arange(1, 21), 1.0),
-        (np.arange(20, 0, -1), -1.0),
-        (list(range(1, 16)) + [0] * 5, 1.0),
-        ([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4, 6, 0, 0], 0.30095716061664324),
-        ([0, 2, 2, 5, 0, 7, 7, 7, 1, 3, 3, 9, 12, 12, 4, 0], 0.6097280093136733),
-    ])
-    def test_pinned_scores_with_ties(self, counts, score):
-        assert abs(monotonicity_score(synthetic(counts)) - score) <= 1e-12
-
-    @pytest.mark.parametrize("n, bins, seed, score", [
-        (6000, 30, 76, 0.9932126155286023),
-        (20000, 40, 1009, 0.9977081834824892),
-    ])
-    def test_pinned_sampled_scores(self, n, bins, seed, score):
-        h = sample_q(Bipartition(2, 2), n, bins, SeedSpec(seed))
-        assert abs(monotonicity_score(h) - score) <= 1e-12
+    def test_fit_rejects_a_reference_shifted_by_one_bin(self):
+        h = sample_q(Bipartition(2, 2), 20000, 40, SeedSpec(1009))
+        exact = exact_bin_probabilities(h.bin_edges)
+        # criterion 9 accepts the exact bins at this seed; a one-bin shift must fail the same test
+        critical = KS_CRITICAL_001 / np.sqrt(h.n_samples)
+        assert ks_gap(h.counts, np.r_[0.0, exact[:-1]]) > critical
+        assert ks_gap(h.counts, np.r_[exact[1:], 0.0]) > critical

@@ -19,6 +19,15 @@ class TestBipartition:
         with pytest.raises(DimensionError):
             Bipartition(d1, d2)
 
+    @pytest.mark.parametrize("d1,d2", [(2.5, 2), (2, 2.0), (True, 2), (2, np.True_), ("3", 2), (None, 2)],
+                             ids=["float", "integral-float", "bool", "numpy-bool", "str", "none"])
+    def test_non_integer_dims(self, d1, d2):
+        with pytest.raises(DimensionError, match="must be integers"):
+            Bipartition(d1, d2)
+
+    def test_numpy_integer_dims(self):
+        assert Bipartition(np.int64(2), np.int32(3)).dim == 6
+
 
 class TestKron:
     def test_identity_case(self):
