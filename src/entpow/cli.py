@@ -11,14 +11,15 @@ replay    re-run the command recorded in a manifest file
 
 Every output file gets a sibling ``<file>.manifest.json`` recording command,
 bipartition, seed, parameters, and the full command line (``argv``, defaults
-included); replay runs that ``argv`` again and reproduces the output bit for
-bit.  Exit codes: 0 success, 2 validation error, 3 I/O error, 4 resource cap
-exceeded.
+included); both are moved into place only once both are written.  Replay runs
+that ``argv`` again and reproduces the output bit for bit.  Exit codes: 0
+success, 2 validation error, 3 I/O error, 4 resource cap exceeded.
 """
 
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -48,6 +49,8 @@ REPLAYABLE = ("eval", "mc", "dist", "optimize")
 
 def _dims_from_args(args, square: bool = False) -> tuple[int, int]:
     """Factor dimensions from ``--d`` or ``--d1/--d2``; ``d1*d2 > DEFAULT_DIM_CAP`` is refused."""
+    if args.d is not None and (args.d1 is not None or args.d2 is not None):
+        raise ValidationError("give --d or --d1/--d2, not both")
     if args.d is not None:
         d1 = d2 = args.d
     elif square:
@@ -92,34 +95,50 @@ def _gate_from_args(args) -> UnitaryGate:
     return GATES[args.gate](args)
 
 
-def _write_manifest(args, part: Bipartition, started: float) -> None:
-    """Write ``<out>.manifest.json`` for a run of ``args.command``.
+def _json_writer(payload):
+    return lambda path: path.write_text(json.dumps(payload, indent=2) + "\n")
 
-    ``argv`` is the command plus ``--<dest> <value>`` for every option that is
-    set, defaults included, so replaying it re-runs the same command.
-    ``parameters`` holds the options except the seed, recorded under ``seed``,
-    and, for commands without a gate, the dimensions, recorded under ``part``.
+
+def _write_outputs(args, part: Bipartition, started: float, write) -> None:
+    """Write ``args.out`` by ``write(path)`` and its sibling ``<out>.manifest.json``, atomically.
+
+    Both are written to temporary files next to their targets; only when both
+    are complete is the output moved into place, then the manifest.  A failed
+    run leaves no temporary file, and an existing output and manifest as they
+    were.  ``argv`` is the command plus ``--<dest> <value>`` for every option
+    that is set, defaults included, so replaying it re-runs the same command.
+    ``seed`` is the master seed (``null`` for a command that does not sample),
+    and ``parameters`` holds the other options except, for commands without a
+    gate, the dimensions, recorded under ``part``.
     """
     options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     argv = [args.command]
     for key, value in options.items():
         if value is not None:
             argv += [f"--{key}", str(value)]
-    recorded_elsewhere = {"seed", "stream"} | (set() if "gate" in options else {"d", "d1", "d2"})
+    recorded_elsewhere = {"seed"} | (set() if "gate" in options else {"d", "d1", "d2"})
     manifest = {
         "command": args.command,
         "part": {"d1": part.d1, "d2": part.d2},
-        "seed": {"master_seed": args.seed, "stream_index": args.stream},
+        "seed": {"master_seed": args.seed} if "seed" in options else None,
         "parameters": {k: v for k, v in options.items() if k not in recorded_elsewhere},
         "argv": argv,
         "tool_version": __version__,
         "wall_time": time.perf_counter() - started,
     }
-    Path(args.out + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def _seed_from_args(args) -> SeedSpec:
-    return SeedSpec(args.seed, args.stream)
+    targets = [Path(args.out), Path(args.out + ".manifest.json")]
+    temps = [t.with_name(f".{t.name}.{os.getpid()}.tmp") for t in targets]
+    # os.replace onto a directory would fail only once the output is already in place
+    if targets[1].is_dir():
+        raise IsADirectoryError(f"manifest path {targets[1]} is a directory")
+    try:
+        write(temps[0])
+        _json_writer(manifest)(temps[1])
+        for temp, target in zip(temps, targets):
+            os.replace(temp, target)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
 
 
 def _print_report(gate: UnitaryGate, report) -> None:
@@ -151,16 +170,14 @@ def cmd_eval(args) -> int:
     report = ep_dense_oracle(gate) if args.method == "oracle" else ep_closed(gate)
     _print_report(gate, report)
     if args.out:
-        Path(args.out).write_text(json.dumps(_report_json(report), indent=2) + "\n")
-        _write_manifest(args, gate.part, started)
+        _write_outputs(args, gate.part, started, _json_writer(_report_json(report)))
     return EXIT_OK
 
 
 def cmd_mc(args) -> int:
     started = time.perf_counter()
     gate = _gate_from_args(args)
-    seed = _seed_from_args(args)
-    mc = ep_monte_carlo(gate, args.samples, seed)
+    mc = ep_monte_carlo(gate, args.samples, SeedSpec(args.seed))
     closed = ep_closed(gate)
     print(f"gate          : {gate.part} unitary")
     print(f"mc_estimate   = {mc.value:.9f} +/- {mc.mc_stderr:.3e}  ({args.samples} samples)")
@@ -169,26 +186,26 @@ def cmd_mc(args) -> int:
     print(f"|difference|  = {abs(mc.value - closed.value):.3e}  ({sigma:.2f} stderr)")
     if args.out:
         payload = {"monte_carlo": _report_json(mc), "closed_form": _report_json(closed)}
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        _write_manifest(args, gate.part, started)
+        _write_outputs(args, gate.part, started, _json_writer(payload))
     return EXIT_OK
 
 
 def cmd_dist(args) -> int:
     started = time.perf_counter()
     part = Bipartition(*_dims_from_args(args))
-    seed = _seed_from_args(args)
-    hist = sample_q(part, args.samples, args.bins, seed)
-    out = Path(args.out)
-    with out.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "count", "density"])
-        densities = hist.densities
-        for i in range(len(hist.counts)):
-            writer.writerow([f"{hist.bin_edges[i]:.12g}", f"{hist.bin_edges[i + 1]:.12g}",
-                             int(hist.counts[i]), f"{densities[i]:.12g}"])
-    _write_manifest(args, part, started)
-    print(f"wrote {out} ({args.bins} bins, {args.samples} samples)")
+    hist = sample_q(part, args.samples, args.bins, SeedSpec(args.seed))
+
+    def write_csv(path: Path) -> None:
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["bin_left", "bin_right", "count", "density"])
+            densities = hist.densities
+            for i in range(len(hist.counts)):
+                writer.writerow([f"{hist.bin_edges[i]:.12g}", f"{hist.bin_edges[i + 1]:.12g}",
+                                 int(hist.counts[i]), f"{densities[i]:.12g}"])
+
+    _write_outputs(args, part, started, write_csv)
+    print(f"wrote {args.out} ({args.bins} bins, {args.samples} samples)")
     print(f"empirical_mean = {hist.empirical_mean:.6f}  (haar mean {haar_mean(part):.6f})")
     print(f"empirical_max  = {hist.empirical_max:.6f}  (upper bound {upper_bound(part):.6f})")
     return EXIT_OK
@@ -197,8 +214,8 @@ def cmd_dist(args) -> int:
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
     part = Bipartition(*_dims_from_args(args))
-    seed = _seed_from_args(args)
-    cfg = OptimizeConfig(part=part, seed=seed, restarts=args.restarts, max_iters=args.iters)
+    cfg = OptimizeConfig(part=part, seed=SeedSpec(args.seed), restarts=args.restarts,
+                         max_iters=args.iters)
     result = maximize_ep(cfg)
     print(f"bipartition   : {part}")
     print(f"best_value    = {result.best_value:.9f}")
@@ -206,8 +223,7 @@ def cmd_optimize(args) -> int:
     print(f"gap_to_bound  = {result.gap_to_bound:.3e}")
     print(f"iterations    = {result.iterations_used}")
     if args.out:
-        save_gate(result.best_gate, args.out)
-        _write_manifest(args, part, started)
+        _write_outputs(args, part, started, lambda path: save_gate(result.best_gate, path))
         print(f"wrote best gate to {args.out}")
     return EXIT_OK
 
@@ -247,17 +263,17 @@ def cmd_replay(args) -> int:
     return main(argv + (["--out", args.out] if args.out else []))
 
 
-def _add_gate_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gate", choices=list(GATES), help="named gate family")
-    p.add_argument("--file", help="gate file in the JSON matrix format")
-    p.add_argument("--d", type=int, help="factor dimension for square-bipartition gates")
+def _add_dim_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", type=int, help="both factor dimensions (square bipartition)")
     p.add_argument("--d1", type=int, help="first factor dimension")
     p.add_argument("--d2", type=int, help="second factor dimension")
 
 
-def _add_seed_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
-    p.add_argument("--stream", type=int, default=0, help="base stream index")
+def _add_gate_args(p: argparse.ArgumentParser) -> None:
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--gate", choices=list(GATES), help="named gate family")
+    source.add_argument("--file", help="gate file in the JSON matrix format")
+    _add_dim_args(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="closed-form entangling power of one gate")
     _add_gate_args(p)
-    _add_seed_args(p)
     p.add_argument("--method", choices=["closed", "oracle"], default="closed",
                    help="evaluation route (dense oracle is capped at d1*d2 <= 36)")
     p.add_argument("--out", help="also write the report as JSON")
@@ -278,26 +293,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="Monte Carlo estimate vs the closed form")
     _add_gate_args(p)
-    _add_seed_args(p)
+    p.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--out", help="also write both reports as JSON")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("dist", help="histogram of entangling power over Haar gates")
-    p.add_argument("--d", type=int, help="square bipartition shortcut")
-    p.add_argument("--d1", type=int)
-    p.add_argument("--d2", type=int)
-    _add_seed_args(p)
+    _add_dim_args(p)
+    p.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--bins", type=int, default=100)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("optimize", help="maximize entangling power by gradient ascent on U(n)")
-    p.add_argument("--d", type=int, help="square bipartition shortcut")
-    p.add_argument("--d1", type=int)
-    p.add_argument("--d2", type=int)
-    _add_seed_args(p)
+    _add_dim_args(p)
+    p.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--iters", type=int, default=4000)
     p.add_argument("--out", help="write the best gate in the JSON matrix format")

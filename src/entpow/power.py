@@ -270,8 +270,11 @@ def ep_monte_carlo(gate: UnitaryGate, n_samples: int, seed: SeedSpec) -> Entangl
     """Entangling power as a sample mean over Haar product states.
 
     Samples are spread over a fixed set of seed substreams and concatenated in
-    stream order, so the estimate is deterministic for a given seed.  The
-    report carries the sample count and the standard error of the mean.
+    stream order, so the estimate is deterministic for a given seed.  The call
+    consumes streams ``seed.stream_index`` to ``seed.stream_index + 63``
+    (fewer below 64 samples); for independent estimates use distinct master
+    seeds.  The report carries the sample count and the standard error of the
+    mean.
     """
     if n_samples < 2:
         raise ValidationError(f"n_samples must be >= 2 for a standard error, got {n_samples}")

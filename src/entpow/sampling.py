@@ -33,7 +33,13 @@ class SeedSpec:
             raise ValidationError(f"stream_index must be nonnegative, got {self.stream_index}")
 
     def substream(self, k: int) -> "SeedSpec":
-        """The seed ``k`` streams further along; used to split work into streams."""
+        """The seed ``k`` streams further along; used to split work into streams.
+
+        Calls that split work this way consume a run of consecutive streams
+        from ``stream_index`` on, so two seeds of one master seed with nearby
+        stream indices share streams; independent runs take distinct master
+        seeds.
+        """
         return SeedSpec(self.master_seed, self.stream_index + k)
 
     def generator(self) -> np.random.Generator:

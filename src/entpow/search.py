@@ -100,8 +100,10 @@ def maximize_ep(cfg: OptimizeConfig) -> OptimizeResult:
     """Maximize entangling power over U(d1*d2) by restarted gradient ascent.
 
     Deterministic for a given config: restart ``r`` draws from seed substream
-    ``r``, and the reduction takes the maximum in restart order (ties keep the
-    earlier restart).  Every evaluated candidate is a valid unitary, so the
+    ``r``, so a run consumes streams ``seed.stream_index`` to
+    ``seed.stream_index + restarts - 1`` (for independent runs use distinct
+    master seeds), and the reduction takes the maximum in restart order (ties
+    keep the earlier restart).  Every evaluated candidate is a valid unitary, so the
     best value respects the analytic upper bound.
     """
     results = [_ascend(cfg, r) for r in range(cfg.restarts)]

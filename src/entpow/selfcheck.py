@@ -2,15 +2,16 @@
 
 Every check is exact (tolerance 1e-10 unless stated) and independent of
 sampling noise: known gate values, agreement of the closed form with the dense
-operator oracle, invariances under bilocal composition and swaps, and the
-trace identities of the exchange operators.
+operator oracle, invariances under bilocal composition and swaps, the range
+of the fixed-state map values, and the trace identities of the exchange
+operators.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import kraus_from_unitary
+from .channels import kraus_from_unitary, partial_ep, partial_ep_bound
 from .gates import make_additive_permutation, make_cnot, make_controlled_family, make_identity, make_swap
 from .power import UnitaryGate, ep_closed, ep_dense_oracle, ep_value, haar_gate, swap_symmetric_ep, upper_bound
 from .sampling import SeedSpec, haar_unitary
@@ -100,7 +101,7 @@ def run_self_checks(extra_gate: UnitaryGate | None = None) -> list[CheckResult]:
                 results.append(_check(f"swap-symmetric form agrees at {part}",
                                       abs(swap_symmetric_ep(g) - base)))
 
-    # Kraus completeness on random gates and fixed states
+    # fixed-state maps on random gates and states (kraus_from_unitary enforces completeness)
     for (d1, d2) in [(2, 2), (2, 3)]:
         part = Bipartition(d1, d2)
         worst = 0.0
@@ -109,10 +110,10 @@ def run_self_checks(extra_gate: UnitaryGate | None = None) -> list[CheckResult]:
             rng = SEED.substream(next(stream)).generator()
             psi2 = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
             psi2 /= np.linalg.norm(psi2)
-            fam = kraus_from_unitary(g, psi2)
-            worst = max(worst, float(np.abs(
-                sum(a.conj().T @ a for a in fam.a_ops) - np.eye(d1)).max()))
-        results.append(_check(f"Kraus completeness at {part} (5 gates)", worst))
+            value = partial_ep(kraus_from_unitary(g, psi2))
+            worst = max(worst, -value, value - partial_ep_bound(g))
+        results.append(_check(f"fixed-state value within [0, partial bound] at {part} (5 gates)",
+                              worst))
 
     # bound respected by random gates (analytic bound, exact values)
     for (d1, d2) in [(2, 2), (2, 3), (3, 3)]:

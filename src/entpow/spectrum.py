@@ -44,7 +44,9 @@ def sample_q(part: Bipartition, n_samples: int, n_bins: int, seed: SeedSpec) -> 
     a fixed set of seed substreams taken in stream order, so the histogram is
     deterministic for a given seed.  Within a stream, gates are drawn and
     evaluated in sub-stacks by :func:`ep_values`; the values equal those of a
-    one-gate-at-a-time loop bit for bit.
+    one-gate-at-a-time loop bit for bit.  The call consumes streams
+    ``seed.stream_index`` to ``seed.stream_index + 63`` (fewer below 64
+    samples); for independent histograms use distinct master seeds.
     """
     if n_bins < 2:
         raise ValidationError(f"n_bins must be >= 2, got {n_bins}")

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import entpow.cli as cli
-from entpow import ep_closed, load_gate, make_cnot, save_gate
+from entpow import ep_closed, load_gate, make_cnot, make_swap, save_gate
 from entpow.cli import EXIT_IO, EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, GATES, main
 
 
@@ -286,7 +286,7 @@ ROUND_TRIPS = {
            "--seed", "3"],
     "dist-d": ["dist", "--d", "2", "--samples", "300", "--bins", "10", "--seed", "4"],
     "dist-d1-d2": ["dist", "--d1", "2", "--d2", "3", "--samples", "300", "--bins", "12",
-                   "--seed", "5", "--stream", "2"],
+                   "--seed", "5"],
     "optimize": ["optimize", "--d1", "2", "--d2", "2", "--restarts", "2", "--iters", "40",
                  "--seed", "6"],
 }
@@ -316,9 +316,83 @@ class TestManifestRoundTrip:
     def test_argv_records_defaults(self, capsys, tmp_path):
         out = tmp_path / "r.json"
         run(capsys, "eval", "--gate", "cnot", "--out", str(out))
-        argv = json.loads((tmp_path / "r.json.manifest.json").read_text())["argv"]
-        assert argv == ["eval", "--gate", "cnot", "--seed", "0", "--stream", "0",
-                        "--method", "closed", "--out", str(out)]
+        manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+        assert manifest["argv"] == ["eval", "--gate", "cnot", "--method", "closed", "--out", str(out)]
+        assert manifest["seed"] is None
+
+    def test_seed_block_holds_the_master_seed(self, capsys, tmp_path):
+        out = tmp_path / "h.csv"
+        run(capsys, "dist", "--d", "2", "--samples", "50", "--bins", "5", "--out", str(out))
+        manifest = json.loads((tmp_path / "h.csv.manifest.json").read_text())
+        assert manifest["seed"] == {"master_seed": 0}
+        assert manifest["argv"] == ["dist", "--d", "2", "--seed", "0", "--samples", "50",
+                                    "--bins", "5", "--out", str(out)]
+
+    def test_replay_of_stream_manifest_refused(self, capsys, tmp_path):
+        # a manifest written while --stream still existed
+        manifest = tmp_path / "old.csv.manifest.json"
+        manifest.write_text(json.dumps({"argv": [
+            "dist", "--d", "2", "--seed", "0", "--stream", "0", "--samples", "50", "--bins", "5",
+            "--out", str(tmp_path / "old.csv")]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", str(manifest), "--out", str(tmp_path / "new.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --stream 0" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["old.csv.manifest.json"]
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize("case", list(ROUND_TRIPS))
+    @pytest.mark.parametrize("existing", [b"old output\n", None], ids=["over-old-out", "no-old-out"])
+    def test_manifest_path_is_a_directory(self, capsys, tmp_path, case, existing):
+        gate = tmp_path / "gate.json"
+        save_gate(make_cnot(), gate)
+        argv = [str(gate) if a == "{gate}" else a for a in ROUND_TRIPS[case]]
+        out = tmp_path / "out.json"
+        if existing is not None:
+            out.write_bytes(existing)
+        (tmp_path / "out.json.manifest.json").mkdir()
+        assert main(argv + ["--out", str(out)]) == EXIT_IO
+        assert "is a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted(["gate.json", "out.json.manifest.json"] + (["out.json"] if existing else []))
+        if existing is not None:
+            assert out.read_bytes() == existing
+
+    def test_failed_manifest_write_keeps_the_old_pair(self, capsys, monkeypatch, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["eval", "--gate", "swap", "--d", "2", "--out", str(out)]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        write_text = Path.write_text
+
+        def disk_full_for_manifests(self, *args, **kwargs):
+            if "manifest" in self.name:
+                write_text(self, "{")
+                raise OSError(28, "No space left on device")
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", disk_full_for_manifests)
+        assert main(["eval", "--gate", "cnot", "--out", str(out)]) == EXIT_IO
+        assert "No space left on device" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+class TestConflictingOptions:
+    def test_d_with_d1_d2_refused(self, capsys, tmp_path):
+        code = main(["dist", "--d", "2", "--d1", "3", "--d2", "5", "--samples", "50",
+                     "--out", str(tmp_path / "h.csv")])
+        assert code == EXIT_VALIDATION
+        assert "give --d or --d1/--d2, not both" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_gate_with_file_refused(self, capsys, tmp_path):
+        path = tmp_path / "swap3.json"
+        save_gate(make_swap(3), path)
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--gate", "cnot", "--file", str(path), "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert "not allowed with argument --gate" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["swap3.json"]
 
 
 class TestReplayInput:
@@ -354,6 +428,15 @@ class TestVerify:
         assert code == EXIT_OK
         assert "user gate" in out
 
+    def test_fixed_state_range_check_can_fail(self, capsys, monkeypatch):
+        import entpow.selfcheck
+
+        monkeypatch.setattr(entpow.selfcheck, "partial_ep", lambda fam: -1.0)
+        code, out = run(capsys, "verify")
+        assert code == EXIT_VALIDATION
+        assert out.count("[FAIL] fixed-state value within [0, partial bound]") == 2
+        assert out.splitlines()[-1] == "47/49 identity checks passed"
+
     def test_corrupted_gate_file_fails(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"d1": 2, "d2": 2, "matrix": [[[1, 0]] * 4] * 4}))
@@ -372,16 +455,22 @@ class TestExitCodes:
 
 
 class TestNoWorkerCount:
+    # each argv ends in an option the command no longer has: --threads, --stream, or
+    # --seed on eval, which samples nothing
     @pytest.mark.parametrize("argv", [
-        ["mc", "--gate", "cnot", "--samples", "50"],
-        ["dist", "--d", "2", "--samples", "50"],
-        ["optimize", "--d", "2", "--restarts", "1", "--iters", "10"],
+        ["mc", "--gate", "cnot", "--samples", "50", "--threads", "2"],
+        ["dist", "--d", "2", "--samples", "50", "--threads", "2"],
+        ["optimize", "--d", "2", "--restarts", "1", "--iters", "10", "--threads", "2"],
+        ["mc", "--gate", "cnot", "--samples", "50", "--stream", "1"],
+        ["dist", "--d", "2", "--samples", "50", "--stream", "1"],
+        ["optimize", "--d", "2", "--restarts", "1", "--iters", "10", "--stream", "1"],
+        ["eval", "--gate", "cnot", "--seed", "123"],
     ])
     def test_threads_flag_rejected_by_argparse(self, capsys, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--threads", "2", "--out", str(tmp_path / "out")])
+            main(argv + ["--out", str(tmp_path / "out")])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
@@ -401,7 +490,7 @@ class TestNoWorkerCount:
     def test_replay_of_threads_manifest_refused(self, capsys, tmp_path):
         manifest = tmp_path / "old.json.manifest.json"
         manifest.write_text(json.dumps({"argv": [
-            "optimize", "--d", "2", "--seed", "0", "--stream", "0", "--restarts", "1",
+            "optimize", "--d", "2", "--seed", "0", "--restarts", "1",
             "--iters", "10", "--threads", "2", "--out", str(tmp_path / "old.json")]}))
         with pytest.raises(SystemExit) as exc:
             main(["replay", str(manifest), "--out", str(tmp_path / "new.json")])
