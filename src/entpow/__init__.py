@@ -16,13 +16,13 @@ from .power import (EntanglingPowerReport, UnitaryGate, ep_closed, ep_dense_orac
                     ep_monte_carlo, ep_on_states, ep_value, ep_values, haar_gate, haar_mean,
                     linear_entropy, swap_symmetric_ep, upper_bound)
 from .sampling import SeedSpec, haar_state, haar_unitary
-from .search import OptimizeConfig, OptimizeResult, exhaustive_permutation_max, maximize_ep
+from .search import OptimizeResult, exhaustive_permutation_max, maximize_ep
 from .spectrum import Histogram, sample_q
 from .tensorops import Bipartition, kron, pair_exchange
 
 __all__ = [
     "Bipartition", "DimensionError", "EntanglingPowerReport", "Histogram",
-    "KrausFamily", "OptimizeConfig", "OptimizeResult", "ResourceLimitError", "SeedSpec",
+    "KrausFamily", "OptimizeResult", "ResourceLimitError", "SeedSpec",
     "UnitaryGate", "ValidationError", "clock_matrix",
     "ep_closed", "ep_dense_oracle", "ep_monte_carlo", "ep_on_states", "ep_value", "ep_values",
     "exhaustive_permutation_max", "haar_gate", "haar_mean", "haar_state", "haar_unitary",

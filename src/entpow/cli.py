@@ -18,6 +18,7 @@ success, 2 validation error, 3 I/O error, 4 resource cap exceeded.
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -33,7 +34,7 @@ from .gates import (load_gate, make_additive_permutation, make_cnot, make_contro
 from .power import (UnitaryGate, ep_closed, ep_dense_oracle, ep_monte_carlo,
                     haar_mean, upper_bound)
 from .sampling import SeedSpec
-from .search import OptimizeConfig, maximize_ep
+from .search import maximize_ep
 from .selfcheck import run_self_checks
 from .spectrum import sample_q
 from .tensorops import DEFAULT_DIM_CAP, Bipartition
@@ -88,6 +89,9 @@ GATES = {
 
 
 def _gate_from_args(args) -> UnitaryGate:
+    fixed = "--file" if args.file else "--gate cnot" if args.gate == "cnot" else None
+    if fixed and (args.d, args.d1, args.d2) != (None, None, None):
+        raise ValidationError(f"{fixed} fixes the dimensions: drop --d, --d1 and --d2")
     if args.file:
         return load_gate(args.file)
     if args.gate is None:
@@ -147,21 +151,12 @@ def _print_report(gate: UnitaryGate, report) -> None:
     print(f"value        = {report.value:.12f}")
     print(f"i0           = {report.i0:.12f}")
     print(f"i1           = {report.i1:.12f}")
-    print(f"haar_mean    = {report.mean_haar:.12f}")
+    print(f"haar_mean    = {report.haar_mean:.12f}")
     print(f"upper_bound  = {report.upper_bound:.12f}")
     print(f"gap_to_bound = {report.gap_to_bound:.12f}")
     if report.mc_samples is not None:
         print(f"mc_samples   = {report.mc_samples}")
         print(f"mc_stderr    = {report.mc_stderr:.3e}")
-
-
-def _report_json(report) -> dict:
-    return {
-        "value": report.value, "i0": report.i0, "i1": report.i1,
-        "haar_mean": report.mean_haar, "upper_bound": report.upper_bound,
-        "gap_to_bound": report.gap_to_bound, "method": report.method,
-        "mc_samples": report.mc_samples, "mc_stderr": report.mc_stderr,
-    }
 
 
 def cmd_eval(args) -> int:
@@ -170,7 +165,7 @@ def cmd_eval(args) -> int:
     report = ep_dense_oracle(gate) if args.method == "oracle" else ep_closed(gate)
     _print_report(gate, report)
     if args.out:
-        _write_outputs(args, gate.part, started, _json_writer(_report_json(report)))
+        _write_outputs(args, gate.part, started, _json_writer(dataclasses.asdict(report)))
     return EXIT_OK
 
 
@@ -185,7 +180,7 @@ def cmd_mc(args) -> int:
     sigma = abs(mc.value - closed.value) / mc.mc_stderr if mc.mc_stderr else 0.0
     print(f"|difference|  = {abs(mc.value - closed.value):.3e}  ({sigma:.2f} stderr)")
     if args.out:
-        payload = {"monte_carlo": _report_json(mc), "closed_form": _report_json(closed)}
+        payload = {"monte_carlo": dataclasses.asdict(mc), "closed_form": dataclasses.asdict(closed)}
         _write_outputs(args, gate.part, started, _json_writer(payload))
     return EXIT_OK
 
@@ -214,9 +209,7 @@ def cmd_dist(args) -> int:
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
     part = Bipartition(*_dims_from_args(args))
-    cfg = OptimizeConfig(part=part, seed=SeedSpec(args.seed), restarts=args.restarts,
-                         max_iters=args.iters)
-    result = maximize_ep(cfg)
+    result = maximize_ep(part, SeedSpec(args.seed), args.restarts, args.iters)
     print(f"bipartition   : {part}")
     print(f"best_value    = {result.best_value:.9f}")
     print(f"upper_bound   = {result.bound:.9f}")

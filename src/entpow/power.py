@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ResourceLimitError, ValidationError
 from .sampling import SeedSpec, block_sizes, haar_unitary, product_state_block
 from .tensorops import Bipartition, ensure_finite, kron, pair_exchange, permutation_matrix
 
@@ -68,15 +68,12 @@ class EntanglingPowerReport:
     value: float
     i0: float
     i1: float
-    mean_haar: float
+    haar_mean: float
     upper_bound: float
+    gap_to_bound: float
     method: str
     mc_samples: int | None = None
     mc_stderr: float | None = None
-
-    @property
-    def gap_to_bound(self) -> float:
-        return self.upper_bound - self.value
 
 
 def _c(d: int) -> float:
@@ -146,19 +143,15 @@ def _gram(a: np.ndarray) -> np.ndarray:
     return a @ a.conj().transpose(0, 2, 1)
 
 
-def _traces(t0: np.ndarray, t1: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
-    d1, d2 = part.d1, part.d2
-    return d1 * d2 * d2 + _frobenius2(t0), d1 * d1 * d2 + _frobenius2(t1)
-
-
 def _i0_i1(stack: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
     """The two exchange-operator traces entering the closed form, for a stack of gates.
 
     Each trace is a constant plus the squared Frobenius norm of ``A A^dag``,
     one batched matrix product per trace, at cost O((d1 d2)^3) per gate.
     """
+    d1, d2 = part.d1, part.d2
     a0, a1 = _rearranged(stack, part)
-    return _traces(_gram(a0), _gram(a1), part)
+    return d1 * d2 * d2 + _frobenius2(_gram(a0)), d1 * d1 * d2 + _frobenius2(_gram(a1))
 
 
 def _frobenius2(t: np.ndarray) -> np.ndarray:
@@ -199,30 +192,29 @@ def ep_value(matrix: np.ndarray, part: Bipartition) -> float:
     return float(ep_values(matrix, part)[0])
 
 
-def ep_value_and_grad(matrix: np.ndarray, part: Bipartition) -> tuple[float, np.ndarray]:
-    """Closed-form entangling power of one unitary and its Euclidean gradient.
+def ep_gradient(matrix: np.ndarray, part: Bipartition) -> np.ndarray:
+    """Euclidean gradient of the closed-form entangling power at one unitary.
 
     The closed form is quartic in ``U``.  With ``T = A A^dag`` for each
     rearrangement ``A``, ``d||T||^2 = 4 Re tr((T A)^dag dA)``, so in the
     convention ``de = Re tr(G^dag dU)`` the gradient is
     ``G = -4 C_{d1} C_{d2} (R0^-1(T0 A0) + R1^-1(T1 A1))``, where ``R^-1``
-    undoes each rearrangement.  The value is :func:`ep_value`'s, bit for bit.
+    undoes each rearrangement.
     """
     d1, d2 = part.d1, part.d2
     a0, a1 = _rearranged(matrix, part)
-    t0, t1 = _gram(a0), _gram(a1)
-    value = float(_closed_form(*_traces(t0, t1, part), part)[0])
-    g0 = (t0 @ a0).reshape(d1, d1, d2, d2).transpose(0, 2, 1, 3)
-    g1 = (t1 @ a1).reshape(d2, d1, d1, d2).transpose(2, 0, 1, 3)
+    g0 = (_gram(a0) @ a0).reshape(d1, d1, d2, d2).transpose(0, 2, 1, 3)
+    g1 = (_gram(a1) @ a1).reshape(d2, d1, d1, d2).transpose(2, 0, 1, 3)
     grad = -4.0 * _c(d1) * _c(d2) * (g0 + g1)
-    return value, grad.reshape(part.dim, part.dim)
+    return grad.reshape(part.dim, part.dim)
 
 
 def _report(value: float, i0: float, i1: float, part: Bipartition, method: str,
             mc_samples: int | None = None, mc_stderr: float | None = None) -> EntanglingPowerReport:
     return EntanglingPowerReport(
         value=value, i0=i0, i1=i1,
-        mean_haar=haar_mean(part), upper_bound=upper_bound(part),
+        haar_mean=haar_mean(part), upper_bound=upper_bound(part),
+        gap_to_bound=upper_bound(part) - value,
         method=method, mc_samples=mc_samples, mc_stderr=mc_stderr,
     )
 
@@ -244,7 +236,7 @@ def ep_dense_oracle(gate: UnitaryGate) -> EntanglingPowerReport:
     """
     part = gate.part
     if part.dim > DENSE_ORACLE_MAX_DIM:
-        raise DimensionError(
+        raise ResourceLimitError(
             f"dense oracle supports d1*d2 <= {DENSE_ORACLE_MAX_DIM}, got {part.dim}"
         )
     t13 = pair_exchange(part, "T13")

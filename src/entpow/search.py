@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .power import (UnitaryGate, ep_value, ep_value_and_grad, ep_values, substack_size,
-                    upper_bound)
+from .power import UnitaryGate, ep_gradient, ep_value, ep_values, substack_size, upper_bound
 from .sampling import SeedSpec, _haar_unitary_from
 from .tensorops import Bipartition, permutation_matrix
 
@@ -35,20 +34,6 @@ STEP_LADDER = 2.0 ** np.arange(4, -12, -1)
 
 #: an ascent stops once its best step gains at most this much
 ASCENT_TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True)
-class OptimizeConfig:
-    """Gradient-ascent settings; the defaults handle dimensions up to 4x4 well."""
-
-    part: Bipartition
-    seed: SeedSpec
-    restarts: int = 16
-    max_iters: int = 4000
-
-    def __post_init__(self):
-        if self.restarts < 1 or self.max_iters < 1:
-            raise ValidationError("restarts and max_iters must be positive")
 
 
 @dataclass(eq=False)
@@ -63,22 +48,19 @@ class OptimizeResult:
     trace: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _ascend(cfg: OptimizeConfig, restart: int):
-    """One restart: returns (value, matrix, local improvement trace, iterations).
+def _ascend(part: Bipartition, rng: np.random.Generator, max_iters: int):
+    """One restart from ``rng``: returns (matrix, local improvement trace, iterations).
 
     Iteration 0 is the Haar-random start; each further iteration takes one
     gradient and evaluates one step ladder.  The ascent stops when the best
     candidate does not improve, when it gains at most ``ASCENT_TOLERANCE``, or after
-    ``max_iters`` steps.
+    ``max_iters`` steps.  The last trace entry holds the returned matrix's value.
     """
-    part = cfg.part
-    rng = cfg.seed.substream(restart).generator()
     u = _haar_unitary_from(rng, part.dim)
     val = ep_value(u, part)
     trace = [(0, val)]
-    for steps in range(1, cfg.max_iters + 1):
-        _, grad = ep_value_and_grad(u, part)
-        gu = grad @ u.conj().T
+    for steps in range(1, max_iters + 1):
+        gu = ep_gradient(u, part) @ u.conj().T
         omega = gu - gu.conj().T
         # exp(eta Omega) = v diag(exp(i eta w)) v^dag for the eigenpairs (w, v) of -i Omega
         w, v = np.linalg.eigh(-1j * omega)
@@ -93,42 +75,42 @@ def _ascend(cfg: OptimizeConfig, restart: int):
         trace.append((steps, val))
         if gain <= ASCENT_TOLERANCE:
             break
-    return val, u, trace, steps + 1
+    return u, trace, steps + 1
 
 
-def maximize_ep(cfg: OptimizeConfig) -> OptimizeResult:
+def maximize_ep(part: Bipartition, seed: SeedSpec, restarts: int = 16,
+                max_iters: int = 4000) -> OptimizeResult:
     """Maximize entangling power over U(d1*d2) by restarted gradient ascent.
 
-    Deterministic for a given config: restart ``r`` draws from seed substream
+    Deterministic for given arguments: restart ``r`` draws from seed substream
     ``r``, so a run consumes streams ``seed.stream_index`` to
     ``seed.stream_index + restarts - 1`` (for independent runs use distinct
-    master seeds), and the reduction takes the maximum in restart order (ties
-    keep the earlier restart).  Every evaluated candidate is a valid unitary, so the
-    best value respects the analytic upper bound.
+    master seeds).  The best gate is that of the first restart to reach the
+    maximum, and the trace records every new best at its global iteration.
+    Every evaluated candidate is a valid unitary, so the best value respects
+    the analytic upper bound.  The defaults handle dimensions up to 4x4 well.
     """
-    results = [_ascend(cfg, r) for r in range(cfg.restarts)]
-
-    best_val = -math.inf
-    merged: list[tuple[int, float]] = []
+    if restarts < 1 or max_iters < 1:
+        raise ValidationError("restarts and max_iters must be positive")
+    best_val, best_matrix = -math.inf, None
+    trace: list[tuple[int, float]] = []
     offset = 0
-    for _, _, local, iterations in results:
+    for r in range(restarts):
+        u, local, iterations = _ascend(part, seed.substream(r).generator(), max_iters)
         for it, v in local:
             if v > best_val:
-                best_val = v
-                merged.append((offset + it, v))
+                # the local trace rises to the value of u, so u is this restart's best
+                best_val, best_matrix = v, u
+                trace.append((offset + it, v))
         offset += iterations
-    # max keeps the first of equal values, i.e. the earliest restart
-    best_matrix = max(results, key=lambda r: r[0])[1]
-
-    gate = UnitaryGate(best_matrix, cfg.part)
-    bound = upper_bound(cfg.part)
+    bound = upper_bound(part)
     return OptimizeResult(
         best_value=best_val,
-        best_gate=gate,
+        best_gate=UnitaryGate(best_matrix, part),
         bound=bound,
         gap_to_bound=bound - best_val,
         iterations_used=offset,
-        trace=merged,
+        trace=trace,
     )
 
 
@@ -181,12 +163,7 @@ def exhaustive_permutation_max(part: Bipartition) -> tuple[float, tuple[int, ...
         )
     tables = _orbit_representatives(part)
     substack = substack_size(n)
-    best = -math.inf
-    best_row = 0
-    for start in range(0, len(tables), substack):
-        chunk = tables[start:start + substack]
-        for row, val in enumerate(ep_values(permutation_matrix(chunk), part), start):
-            if val > best + 1e-12:
-                best = float(val)
-                best_row = row
-    return best, tuple(tables[best_row].tolist())
+    values = np.concatenate([ep_values(permutation_matrix(tables[i:i + substack]), part)
+                             for i in range(0, len(tables), substack)])
+    best_row = int(np.argmax(values))
+    return float(values[best_row]), tuple(tables[best_row].tolist())

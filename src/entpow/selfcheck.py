@@ -104,7 +104,7 @@ def run_self_checks(extra_gate: UnitaryGate | None = None) -> list[CheckResult]:
     # fixed-state maps on random gates and states (kraus_from_unitary enforces completeness)
     for (d1, d2) in [(2, 2), (2, 3)]:
         part = Bipartition(d1, d2)
-        worst = 0.0
+        worst = -np.inf
         for _ in range(5):
             g = gate(part)
             rng = SEED.substream(next(stream)).generator()
@@ -120,7 +120,7 @@ def run_self_checks(extra_gate: UnitaryGate | None = None) -> list[CheckResult]:
         part = Bipartition(d1, d2)
         bound = upper_bound(part)
         worst = max(ep_closed(gate(part)).value - bound for _ in range(20))
-        results.append(_check(f"upper bound respected at {part} (20 gates)", max(worst, 0.0), 1e-9))
+        results.append(_check(f"upper bound respected at {part} (20 gates)", worst, 1e-9))
 
     if extra_gate is not None:
         g = extra_gate
@@ -130,6 +130,6 @@ def run_self_checks(extra_gate: UnitaryGate | None = None) -> list[CheckResult]:
         left = ep_value(kron(u1, u2) @ g.matrix, g.part)
         results.append(_check("user gate: bilocal invariance", abs(left - base)))
         results.append(_check("user gate: value within [0, bound]",
-                              max(-base, base - upper_bound(g.part), 0.0), 1e-9))
+                              max(-base, base - upper_bound(g.part)), 1e-9))
 
     return results

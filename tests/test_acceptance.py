@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from entpow import (Bipartition, OptimizeConfig, SeedSpec, ep_closed, ep_dense_oracle,
+from entpow import (Bipartition, SeedSpec, ep_closed, ep_dense_oracle,
                     ep_monte_carlo, ep_value, exhaustive_permutation_max, haar_gate,
                     haar_mean, haar_state, haar_unitary, kraus_from_unitary, kron,
                     make_additive_permutation, make_cnot, make_controlled_family,
@@ -175,8 +175,7 @@ OPTIMIZER_CASES = [
                          ids=[f"{p}" for p, _, _ in OPTIMIZER_CASES])
 def test_criterion_7_optimizer_targets(part, target, knobs):
     with criterion(7, f"optimizer reaches {target:.6f} at {part}"):
-        cfg = OptimizeConfig(part=part, seed=SeedSpec(1007), **knobs)
-        result = maximize_ep(cfg)
+        result = maximize_ep(part, SeedSpec(1007), **knobs)
         assert abs(result.best_value - target) <= 1e-3
         assert result.best_value <= result.bound + 1e-9
 
@@ -188,8 +187,7 @@ def test_criterion_7_two_qubit_ceiling():
         seed = SeedSpec(10075)
         for i in range(100_000):
             assert ep_value(haar_unitary(4, seed.substream(i)), part) <= ceiling
-        cfg = OptimizeConfig(part=part, seed=SeedSpec(1007), restarts=8, max_iters=2000)
-        result = maximize_ep(cfg)
+        result = maximize_ep(part, SeedSpec(1007), restarts=8, max_iters=2000)
         # strict-greater acceptance makes best_value the max over every candidate evaluated
         assert result.best_value <= ceiling
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import entpow.cli as cli
-from entpow import ep_closed, load_gate, make_cnot, make_swap, save_gate
+from entpow import Bipartition, ep_closed, load_gate, make_cnot, make_identity, make_swap, save_gate
 from entpow.cli import EXIT_IO, EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, GATES, main
 
 
@@ -276,6 +276,12 @@ class TestDimensionCap:
         assert main(["eval", "--file", str(path)]) == EXIT_RESOURCE
         assert main(["verify", "--file", str(path)]) == EXIT_RESOURCE
 
+    def test_dense_oracle_cap(self, capsys, tmp_path):
+        argv = ["eval", "--gate", "swap", "--d", "7", "--method", "oracle"]
+        assert main(argv + ["--out", str(tmp_path / "r.json")]) == EXIT_RESOURCE
+        assert "dense oracle supports d1*d2 <= 36, got 49" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 #: one run of every output-writing command; "{gate}" stands for a saved CNOT gate file
 ROUND_TRIPS = {
@@ -394,6 +400,20 @@ class TestConflictingOptions:
         assert "not allowed with argument --gate" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["swap3.json"]
 
+    @pytest.mark.parametrize("command", ["eval", "mc"])
+    @pytest.mark.parametrize("source", [["--file", "{gate}"], ["--gate", "cnot"]],
+                             ids=["file", "cnot"])
+    @pytest.mark.parametrize("option", ["--d", "--d1", "--d2"])
+    def test_dimensions_refused_where_the_gate_fixes_them(self, capsys, tmp_path, command,
+                                                          source, option):
+        path = tmp_path / "id3.json"
+        save_gate(make_identity(Bipartition(3, 3)), path)
+        argv = [command] + [str(path) if a == "{gate}" else a for a in source]
+        code = main(argv + [option, "5", "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_VALIDATION
+        assert "fixes the dimensions" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["id3.json"]
+
 
 class TestReplayInput:
     @pytest.mark.parametrize("content,message", [
@@ -427,6 +447,17 @@ class TestVerify:
         code, out = run(capsys, "verify", "--file", str(path))
         assert code == EXIT_OK
         assert "user gate" in out
+
+    def test_range_checks_print_the_signed_excess(self, capsys, tmp_path):
+        # every gate lies strictly inside its range, so the largest excess is negative
+        path = tmp_path / "g.json"
+        save_gate(make_cnot(), path)
+        code, out = run(capsys, "verify", "--file", str(path))
+        assert code == EXIT_OK
+        lines = [l for l in out.splitlines()
+                 if any(k in l for k in ("upper bound respected", "value within"))]
+        assert len(lines) == 6
+        assert all(": deviation -" in l for l in lines), lines
 
     def test_fixed_state_range_check_can_fail(self, capsys, monkeypatch):
         import entpow.selfcheck

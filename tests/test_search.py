@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import entpow.search
-from entpow import (Bipartition, OptimizeConfig, ResourceLimitError, SeedSpec,
+from entpow import (Bipartition, ResourceLimitError, SeedSpec,
                     ValidationError, ep_closed, ep_value, exhaustive_permutation_max,
                     make_additive_permutation, make_basis_permutation, make_cnot,
                     maximize_ep, upper_bound)
@@ -15,57 +15,81 @@ from entpow.tensorops import permutation_matrix
 P22 = Bipartition(2, 2)
 
 
-def quick_config(part, seed=7, restarts=4, iters=800):
-    return OptimizeConfig(part=part, seed=SeedSpec(seed), restarts=restarts, max_iters=iters)
+def quick_run(part, seed=7, restarts=4, iters=800):
+    return maximize_ep(part, SeedSpec(seed), restarts, iters)
 
 
 class TestMaximizeEp:
     def test_deterministic(self):
-        cfg = quick_config(P22)
-        a = maximize_ep(cfg)
-        b = maximize_ep(cfg)
+        a = quick_run(P22)
+        b = quick_run(P22)
         assert a.best_value == b.best_value
         assert a.trace == b.trace
         assert np.array_equal(a.best_gate.matrix, b.best_gate.matrix)
 
     def test_trace_monotone(self):
-        res = maximize_ep(quick_config(P22))
+        res = quick_run(P22)
         values = [v for _, v in res.trace]
         assert all(b > a for a, b in zip(values, values[1:]))
         iters = [i for i, _ in res.trace]
         assert all(b > a for a, b in zip(iters, iters[1:]))
 
     def test_best_gate_consistent_with_value(self):
-        res = maximize_ep(quick_config(P22))
+        res = quick_run(P22)
         assert abs(ep_closed(res.best_gate).value - res.best_value) < 1e-10
         # the gate is the best restart's own matrix, so its value is the best value exactly
         assert ep_value(res.best_gate.matrix, P22) == res.best_value
 
     def test_respects_bound(self):
         for part in [P22, Bipartition(2, 3)]:
-            res = maximize_ep(quick_config(part))
+            res = quick_run(part)
             assert res.best_value <= res.bound + 1e-9
             assert res.bound == upper_bound(part)
             assert abs(res.gap_to_bound - (res.bound - res.best_value)) < 1e-15
 
     def test_more_restarts_never_lower(self):
-        small = maximize_ep(quick_config(P22, restarts=3, iters=400))
-        big = maximize_ep(quick_config(P22, restarts=6, iters=400))
+        small = quick_run(P22, restarts=3, iters=400)
+        big = quick_run(P22, restarts=6, iters=400)
         assert big.best_value >= small.best_value
 
     def test_two_qubit_optimum(self):
-        res = maximize_ep(quick_config(P22, restarts=6, iters=1500))
+        res = quick_run(P22, restarts=6, iters=1500)
         assert abs(res.best_value - 2 / 9) < 1e-3
 
     def test_square_case_never_beats_known_optimum(self):
         part = Bipartition(3, 3)
-        res = maximize_ep(quick_config(part, restarts=3, iters=500))
+        res = quick_run(part, restarts=3, iters=500)
         analytic = ep_closed(make_additive_permutation(3)).value
         assert res.best_value <= analytic + 1e-9
 
     def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            OptimizeConfig(part=P22, seed=SeedSpec(0), restarts=0)
+        for knobs in (dict(restarts=0), dict(max_iters=0)):
+            with pytest.raises(ValidationError, match="restarts and max_iters must be positive"):
+                maximize_ep(P22, SeedSpec(0), **knobs)
+
+    def test_restart_reduction_keeps_the_first_maximum(self, monkeypatch):
+        # preset restarts: (matrix, local trace, iterations); restarts 1 and 2 tie at 0.2
+        mats = [np.eye(4), make_cnot().matrix, np.eye(4)[[1, 0, 2, 3]]]
+        preset = iter([
+            (mats[0], [(0, 0.05), (2, 0.1)], 3),
+            (mats[1], [(0, 0.02), (1, 0.15), (4, 0.2)], 5),
+            (mats[2], [(0, 0.12), (3, 0.2)], 4),
+        ])
+        seen = []
+
+        def fake_ascend(part, rng, max_iters):
+            seen.append((part, rng.random(), max_iters))
+            return next(preset)
+
+        monkeypatch.setattr(entpow.search, "_ascend", fake_ascend)
+        res = maximize_ep(P22, SeedSpec(0), restarts=3, max_iters=9)
+        # restart r ascends from seed substream r
+        assert seen == [(P22, SeedSpec(0).substream(r).generator().random(), 9) for r in range(3)]
+        assert res.best_value == 0.2
+        assert np.array_equal(res.best_gate.matrix, mats[1])
+        # local iterations offset by the iterations of the restarts before
+        assert res.trace == [(0, 0.05), (2, 0.1), (4, 0.15), (7, 0.2)]
+        assert res.iterations_used == 3 + 5 + 4
 
     def test_every_candidate_is_unitary(self, monkeypatch):
         # accepted iterates are ladder candidates, so checking every candidate covers them
@@ -78,7 +102,7 @@ class TestMaximizeEp:
 
         monkeypatch.setattr(entpow.search, "ep_values", recording)
         part = Bipartition(2, 3)
-        res = maximize_ep(quick_config(part, restarts=2, iters=300))
+        res = quick_run(part, restarts=2, iters=300)
         # one stacked call of the whole ladder per iteration; each start counts as iteration 0
         assert len(stacks) == res.iterations_used - 2
         eye = np.eye(part.dim)
@@ -88,7 +112,7 @@ class TestMaximizeEp:
         assert abs(res.best_value - 1 / 3) < 1e-6
 
     def test_iteration_cap(self):
-        res = maximize_ep(quick_config(Bipartition(3, 3), restarts=2, iters=3))
+        res = quick_run(Bipartition(3, 3), restarts=2, iters=3)
         assert res.iterations_used == 2 * (3 + 1)
         assert all(it <= 7 for it, _ in res.trace)
 
