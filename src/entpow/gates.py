@@ -66,7 +66,7 @@ def make_controlled_family(d: int, unitaries: list[np.ndarray] | None = None) ->
     d : int
         Dimension of each factor, at least 2.
     unitaries : list of ndarray, optional
-        The ``d`` controlled blocks.  Must be unitary and pairwise orthogonal
+        The ``d`` controlled blocks, each ``d x d``.  Must be unitary and pairwise orthogonal
         in the Hilbert-Schmidt inner product ``<A,B> = tr(A^dag B)``; defaults
         to the clock powers ``Z^a``.
 
@@ -81,6 +81,9 @@ def make_controlled_family(d: int, unitaries: list[np.ndarray] | None = None) ->
     if len(unitaries) != d:
         raise ValidationError(f"expected {d} controlled blocks, got {len(unitaries)}")
     blocks = [ensure_finite(u, "controlled block") for u in unitaries]
+    for a, u in enumerate(blocks):
+        if u.shape != (d, d):
+            raise DimensionError(f"controlled block {a} must be {d}x{d}, got shape {u.shape}")
     for a in range(d):
         for b in range(a + 1, d):
             overlap = abs(np.trace(blocks[a].conj().T @ blocks[b]))

@@ -117,17 +117,23 @@ def _linear_entropies(states: np.ndarray, part: Bipartition) -> np.ndarray:
     batches of output states.
     """
     m = states.reshape(-1, part.d1, part.d2)
-    purity = np.einsum("nab,ncb,ncd,nad->n", m, m.conj(), m, m.conj(), optimize=True)
-    return 1.0 - purity.real
+    if part.d1 > part.d2:
+        m = m.transpose(0, 2, 1)   # the purity is that of the smaller reduction, tr(rho^2)
+    return 1.0 - _frobenius2(_gram(m))
 
 
-def _rearranged(stack: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
-    """The rearrangements ``A0``, ``A1`` of each gate whose ``A A^dag`` enter the two traces.
+def _gram(a: np.ndarray) -> np.ndarray:
+    return a @ a.conj().transpose(0, 2, 1)
+
+
+def _grams(stack: np.ndarray, part: Bipartition) -> tuple[np.ndarray, ...]:
+    """``A0, T0, A1, T1`` of a stack of gates: two rearrangements and their ``T = A A^dag``.
 
     With ``u`` each gate reshaped to four indices (row pair, column pair),
     ``A0`` pairs the ``d1`` indices and ``A1`` the ``d2`` indices, so that
     contracting two copies of ``u`` against two conjugated copies becomes
-    one matrix product per trace.
+    one matrix product per trace, at cost O((d1 d2)^3) per gate.  The traces
+    and the gradient are both read off these four stacks.
     """
     d1, d2 = part.d1, part.d2
     u = stack.reshape(-1, d1, d2, d1, d2)
@@ -136,22 +142,18 @@ def _rearranged(stack: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.nd
     a0 = u.transpose(0, 1, 3, 2, 4).reshape(n, d1 * d1, d2 * d2)
     # I1: contract over the d1 indices of each copy -> matrix indexed by d2 index pairs
     a1 = u.transpose(0, 2, 3, 1, 4).reshape(n, d2 * d1, d1 * d2)
-    return a0, a1
+    return a0, _gram(a0), a1, _gram(a1)
 
 
-def _gram(a: np.ndarray) -> np.ndarray:
-    return a @ a.conj().transpose(0, 2, 1)
+def _i0_i1(stack: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The two exchange-operator traces of a stack of gates, and the :func:`_grams` behind them.
 
-
-def _i0_i1(stack: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
-    """The two exchange-operator traces entering the closed form, for a stack of gates.
-
-    Each trace is a constant plus the squared Frobenius norm of ``A A^dag``,
-    one batched matrix product per trace, at cost O((d1 d2)^3) per gate.
+    Each trace is a constant plus the squared Frobenius norm of its ``T = A A^dag``.
     """
     d1, d2 = part.d1, part.d2
-    a0, a1 = _rearranged(stack, part)
-    return d1 * d2 * d2 + _frobenius2(_gram(a0)), d1 * d1 * d2 + _frobenius2(_gram(a1))
+    grams = _grams(stack, part)
+    t0, t1 = grams[1], grams[3]
+    return d1 * d2 * d2 + _frobenius2(t0), d1 * d1 * d2 + _frobenius2(t1), grams
 
 
 def _frobenius2(t: np.ndarray) -> np.ndarray:
@@ -170,7 +172,8 @@ def ep_values(stack: np.ndarray, part: Bipartition) -> np.ndarray:
     ``N = 1`` case (a single ``(n, n)`` matrix counts as a stack of one), and
     sampling loops call it on whole stacks of gates.
     """
-    return _closed_form(*_i0_i1(stack, part), part)
+    i0, i1, _ = _i0_i1(stack, part)
+    return _closed_form(i0, i1, part)
 
 
 #: matrix entries per sub-stack of gates drawn and evaluated at once; caps the
@@ -195,18 +198,27 @@ def ep_value(matrix: np.ndarray, part: Bipartition) -> float:
 def ep_gradient(matrix: np.ndarray, part: Bipartition) -> np.ndarray:
     """Euclidean gradient of the closed-form entangling power at one unitary.
 
+    The ``N = 1`` case of :func:`_gradients`, bit for bit.
+    """
+    return _gradients(*_grams(matrix, part), part)[0]
+
+
+def _gradients(a0: np.ndarray, t0: np.ndarray, a1: np.ndarray, t1: np.ndarray,
+               part: Bipartition) -> np.ndarray:
+    """Euclidean gradients of the closed form at a stack of unitaries, from their :func:`_grams`.
+
     The closed form is quartic in ``U``.  With ``T = A A^dag`` for each
     rearrangement ``A``, ``d||T||^2 = 4 Re tr((T A)^dag dA)``, so in the
     convention ``de = Re tr(G^dag dU)`` the gradient is
     ``G = -4 C_{d1} C_{d2} (R0^-1(T0 A0) + R1^-1(T1 A1))``, where ``R^-1``
-    undoes each rearrangement.
+    undoes each rearrangement.  Returns ``(N, n, n)``.
     """
     d1, d2 = part.d1, part.d2
-    a0, a1 = _rearranged(matrix, part)
-    g0 = (_gram(a0) @ a0).reshape(d1, d1, d2, d2).transpose(0, 2, 1, 3)
-    g1 = (_gram(a1) @ a1).reshape(d2, d1, d1, d2).transpose(2, 0, 1, 3)
+    n = a0.shape[0]
+    g0 = (t0 @ a0).reshape(n, d1, d1, d2, d2).transpose(0, 1, 3, 2, 4)
+    g1 = (t1 @ a1).reshape(n, d2, d1, d1, d2).transpose(0, 3, 1, 2, 4)
     grad = -4.0 * _c(d1) * _c(d2) * (g0 + g1)
-    return grad.reshape(part.dim, part.dim)
+    return grad.reshape(n, part.dim, part.dim)
 
 
 def _report(value: float, i0: float, i1: float, part: Bipartition, method: str,
@@ -222,7 +234,7 @@ def _report(value: float, i0: float, i1: float, part: Bipartition, method: str,
 def ep_closed(gate: UnitaryGate) -> EntanglingPowerReport:
     """Entangling power via the closed form ``1 - C_{d1} C_{d2} (I_0 + I_1)``."""
     part = gate.part
-    i0, i1 = (float(t[0]) for t in _i0_i1(gate.matrix, part))
+    i0, i1 = (float(t[0]) for t in _i0_i1(gate.matrix, part)[:2])
     return _report(_closed_form(i0, i1, part), i0, i1, part, "closed_form")
 
 
@@ -278,7 +290,7 @@ def ep_monte_carlo(gate: UnitaryGate, n_samples: int, seed: SeedSpec) -> Entangl
     values = np.concatenate(chunks)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_samples))
-    i0, i1 = (float(t[0]) for t in _i0_i1(gate.matrix, part))
+    i0, i1 = (float(t[0]) for t in _i0_i1(gate.matrix, part)[:2])
     return _report(mean, i0, i1, part, "monte_carlo", mc_samples=n_samples, mc_stderr=stderr)
 
 

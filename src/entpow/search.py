@@ -10,6 +10,15 @@ evaluated in one stacked call.  Only strict improvements are accepted.
 Restarts use independent seed substreams, so results are deterministic and
 adding restarts can only improve the best value.
 
+Restarts advance in lockstep: each iteration takes one stacked gradient, one
+batched ``eigh`` and one ladder evaluation for all restarts still running, and
+the gradient at an accepted candidate is read off the Gram matrices its ladder
+evaluation already formed.  Each restart keeps its own acceptance and stopping
+rule and leaves the stack when it stops.  Every operation acts on each
+restart's slice alone, so the result is that of running the restarts one
+after another, bit for bit.  Restarts run in groups whose ladder stacks hold
+at most ``LOCKSTEP_ENTRIES`` entries, which bounds memory at large ``d1 d2``.
+
 The discrete search runs over basis permutations.  Entangling power is
 invariant under local unitaries, and relabeling the outputs ``(a, b) ->
 (sigma(a), tau(b))`` is the local permutation ``P_sigma (x) P_tau``, so only
@@ -22,7 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .power import UnitaryGate, ep_gradient, ep_value, ep_values, substack_size, upper_bound
+# ep_value is unused here but stays bound: bench/spans.py traces entpow.search.ep_value
+from .power import (UnitaryGate, _closed_form, _gradients, _i0_i1, ep_value,  # noqa: F401
+                    ep_values, substack_size, upper_bound)
 from .sampling import SeedSpec, _haar_unitary_from
 from .tensorops import Bipartition, permutation_matrix
 
@@ -34,6 +45,11 @@ STEP_LADDER = 2.0 ** np.arange(4, -12, -1)
 
 #: an ascent stops once its best step gains at most this much
 ASCENT_TOLERANCE = 1e-9
+
+#: matrix entries in the ladder stack of one lockstep group (``len(STEP_LADDER)``
+#: candidates per restart); bounds the working set of :func:`maximize_ep`
+#: without changing any value
+LOCKSTEP_ENTRIES = 2 ** 16
 
 
 @dataclass(eq=False)
@@ -48,34 +64,50 @@ class OptimizeResult:
     trace: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _ascend(part: Bipartition, rng: np.random.Generator, max_iters: int):
-    """One restart from ``rng``: returns (matrix, local improvement trace, iterations).
+def _lockstep_ascent(part: Bipartition, starts: np.ndarray, max_iters: int):
+    """Lockstep ascent from a ``(k, n, n)`` stack of starts (see the module docstring).
 
-    Iteration 0 is the Haar-random start; each further iteration takes one
-    gradient and evaluates one step ladder.  The ascent stops when the best
-    candidate does not improve, when it gains at most ``ASCENT_TOLERANCE``, or after
-    ``max_iters`` steps.  The last trace entry holds the returned matrix's value.
+    Returns each restart's final matrix, local improvement trace and iteration
+    count.  Iteration 0 is the start; a restart accepts its best candidate only
+    if it improves, and stops when no step improves, when its gain is at most
+    ``ASCENT_TOLERANCE``, or after ``max_iters`` steps.  The last trace entry
+    holds the returned matrix's value.
     """
-    u = _haar_unitary_from(rng, part.dim)
-    val = ep_value(u, part)
-    trace = [(0, val)]
+    k, n = len(starts), part.dim
+    i0, i1, grams = _i0_i1(starts, part)
+    values = _closed_form(i0, i1, part)
+    traces = [[(0, float(v))] for v in values]
+    iterations = [max_iters + 1] * k
+    finals = starts.copy()     # each restart's last accepted matrix
+    running, u = np.arange(k), starts
     for steps in range(1, max_iters + 1):
-        gu = ep_gradient(u, part) @ u.conj().T
-        omega = gu - gu.conj().T
+        gu = _gradients(*grams, part) @ u.conj().transpose(0, 2, 1)
+        omega = gu - gu.conj().transpose(0, 2, 1)
         # exp(eta Omega) = v diag(exp(i eta w)) v^dag for the eigenpairs (w, v) of -i Omega
         w, v = np.linalg.eigh(-1j * omega)
-        rotations = v * np.exp(1j * np.multiply.outer(STEP_LADDER, w))[:, None, :]
-        candidates = rotations @ (v.conj().T @ u)
-        values = ep_values(candidates, part)
-        k = int(np.argmax(values))
-        gain = values[k] - val
-        if not gain > 0:     # no step size improves (a NaN stops too)
+        phases = np.exp(1j * (STEP_LADDER[:, None] * w[:, None, :]))
+        rotations = v[:, None] * phases[:, :, None, :]
+        candidates = (rotations @ (v.conj().transpose(0, 2, 1) @ u)[:, None]).reshape(-1, n, n)
+        i0, i1, ladder = _i0_i1(candidates, part)
+        ladder_values = _closed_form(i0, i1, part).reshape(len(running), len(STEP_LADDER))
+        rows = np.arange(len(running))
+        best = ladder_values.argmax(axis=1)
+        top = ladder_values[rows, best]
+        gain = top - values
+        accepted = gain > 0     # no step size improves (a NaN stops too)
+        going = gain > ASCENT_TOLERANCE
+        picked = rows * len(STEP_LADDER) + best
+        finals[running[accepted]] = candidates[picked[accepted]]
+        for i in np.flatnonzero(accepted):
+            traces[running[i]].append((steps, float(top[i])))
+        for r in running[~going]:
+            iterations[r] = steps + 1
+        running, picked, values = running[going], picked[going], top[going]
+        if not len(running):
             break
-        u, val = candidates[k], float(values[k])
-        trace.append((steps, val))
-        if gain <= ASCENT_TOLERANCE:
-            break
-    return u, trace, steps + 1
+        u, grams = finals[running], tuple(g[picked] for g in ladder)
+        del candidates, ladder   # one ladder's stacks alive at a time
+    return finals, traces, iterations
 
 
 def maximize_ep(part: Bipartition, seed: SeedSpec, restarts: int = 16,
@@ -89,20 +121,31 @@ def maximize_ep(part: Bipartition, seed: SeedSpec, restarts: int = 16,
     maximum, and the trace records every new best at its global iteration.
     Every evaluated candidate is a valid unitary, so the best value respects
     the analytic upper bound.  The defaults handle dimensions up to 4x4 well.
+
+    Restarts advance in lockstep (:func:`_lockstep_ascent`), in groups taken
+    in restart order whose ladder stacks hold at most ``LOCKSTEP_ENTRIES``
+    entries.  A restart's result does not depend on its group, so the result
+    is that of running the restarts one after another, bit for bit.  From
+    ``d1 d2 = 46`` on, a group is one restart, and memory is that of a single
+    ascent.
     """
     if restarts < 1 or max_iters < 1:
         raise ValidationError("restarts and max_iters must be positive")
+    n = part.dim
+    group = max(1, LOCKSTEP_ENTRIES // (len(STEP_LADDER) * n * n))
     best_val, best_matrix = -math.inf, None
     trace: list[tuple[int, float]] = []
     offset = 0
-    for r in range(restarts):
-        u, local, iterations = _ascend(part, seed.substream(r).generator(), max_iters)
-        for it, v in local:
-            if v > best_val:
-                # the local trace rises to the value of u, so u is this restart's best
-                best_val, best_matrix = v, u
-                trace.append((offset + it, v))
-        offset += iterations
+    for first in range(0, restarts, group):
+        starts = np.stack([_haar_unitary_from(seed.substream(r).generator(), n)
+                           for r in range(first, min(first + group, restarts))])
+        for u, local, iterations in zip(*_lockstep_ascent(part, starts, max_iters)):
+            for it, v in local:
+                if v > best_val:
+                    # the local trace rises to the value of u, so u is this restart's best
+                    best_val, best_matrix = v, u
+                    trace.append((offset + it, v))
+            offset += iterations
     bound = upper_bound(part)
     return OptimizeResult(
         best_value=best_val,

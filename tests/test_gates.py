@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from entpow import (Bipartition, ResourceLimitError, SeedSpec, ValidationError, clock_matrix,
-                    ep_closed, haar_unitary, load_gate, make_additive_permutation,
+from entpow import (Bipartition, DimensionError, ResourceLimitError, SeedSpec, ValidationError,
+                    clock_matrix, ep_closed, haar_unitary, load_gate, make_additive_permutation,
                     make_basis_permutation, make_bilocal, make_cnot,
                     make_controlled_family, make_identity, make_swap, save_gate,
                     shift_matrix, upper_bound)
@@ -65,6 +65,15 @@ class TestControlledFamily:
     def test_rejects_wrong_count(self):
         with pytest.raises(ValidationError):
             make_controlled_family(3, [np.eye(3), clock_matrix(3)])
+
+    def test_rejects_blocks_of_the_wrong_size(self):
+        # both families pass the orthogonality check, so the size must be checked first
+        w = np.exp(2j * np.pi / 3)
+        with pytest.raises(DimensionError, match=r"block 0 must be 2x2, got shape \(3, 3\)"):
+            make_controlled_family(2, [np.eye(3), np.diag([1, w, w * w])])
+        paulis = [np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])]
+        with pytest.raises(DimensionError, match=r"block 0 must be 3x3, got shape \(2, 2\)"):
+            make_controlled_family(3, paulis)
 
     def test_block_structure(self):
         d = 3

@@ -9,7 +9,9 @@ from entpow import (Bipartition, ResourceLimitError, SeedSpec,
                     ValidationError, ep_closed, ep_value, exhaustive_permutation_max,
                     make_additive_permutation, make_basis_permutation, make_cnot,
                     maximize_ep, upper_bound)
-from entpow.power import ep_values, substack_size
+from entpow.power import ep_gradient, ep_values, substack_size
+from entpow.sampling import _haar_unitary_from
+from entpow.search import ASCENT_TOLERANCE, STEP_LADDER
 from entpow.tensorops import permutation_matrix
 
 P22 = Bipartition(2, 2)
@@ -68,46 +70,49 @@ class TestMaximizeEp:
                 maximize_ep(P22, SeedSpec(0), **knobs)
 
     def test_restart_reduction_keeps_the_first_maximum(self, monkeypatch):
-        # preset restarts: (matrix, local trace, iterations); restarts 1 and 2 tie at 0.2
-        mats = [np.eye(4), make_cnot().matrix, np.eye(4)[[1, 0, 2, 3]]]
-        preset = iter([
-            (mats[0], [(0, 0.05), (2, 0.1)], 3),
-            (mats[1], [(0, 0.02), (1, 0.15), (4, 0.2)], 5),
-            (mats[2], [(0, 0.12), (3, 0.2)], 4),
-        ])
+        # preset starts: identity (0) and two CNOT-class permutations (2/9, a tie); the
+        # gradient's Omega is exactly 0 at all three, so each restart stops at its first step
+        mats = [np.eye(4), make_cnot().matrix, np.eye(4)[[0, 3, 2, 1]]]
+        preset = iter(mats)
         seen = []
 
-        def fake_ascend(part, rng, max_iters):
-            seen.append((part, rng.random(), max_iters))
-            return next(preset)
+        def fake_draw(rng, n):
+            seen.append((rng.random(), n))
+            return np.array(next(preset), dtype=complex)
 
-        monkeypatch.setattr(entpow.search, "_ascend", fake_ascend)
+        monkeypatch.setattr(entpow.search, "_haar_unitary_from", fake_draw)
         res = maximize_ep(P22, SeedSpec(0), restarts=3, max_iters=9)
-        # restart r ascends from seed substream r
-        assert seen == [(P22, SeedSpec(0).substream(r).generator().random(), 9) for r in range(3)]
-        assert res.best_value == 0.2
+        # restart r starts from seed substream r
+        assert seen == [(SeedSpec(0).substream(r).generator().random(), 4) for r in range(3)]
+        cnot = ep_value(mats[1], P22)
+        assert ep_value(mats[2], P22) == cnot
+        assert res.best_value == cnot
         assert np.array_equal(res.best_gate.matrix, mats[1])
-        # local iterations offset by the iterations of the restarts before
-        assert res.trace == [(0, 0.05), (2, 0.1), (4, 0.15), (7, 0.2)]
-        assert res.iterations_used == 3 + 5 + 4
+        # each restart counts its start and one failed step; local iterations are offset
+        # by the iterations of the restarts before
+        assert res.trace == [(0, 0.0), (2, cnot)]
+        assert res.iterations_used == 3 * 2
 
     def test_every_candidate_is_unitary(self, monkeypatch):
         # accepted iterates are ladder candidates, so checking every candidate covers them
         stacks = []
-        real_ep_values = entpow.search.ep_values
+        real_i0_i1 = entpow.search._i0_i1
 
         def recording(stack, part):
             stacks.append(stack.copy())
-            return real_ep_values(stack, part)
+            return real_i0_i1(stack, part)
 
-        monkeypatch.setattr(entpow.search, "ep_values", recording)
+        monkeypatch.setattr(entpow.search, "_i0_i1", recording)
         part = Bipartition(2, 3)
         res = quick_run(part, restarts=2, iters=300)
-        # one stacked call of the whole ladder per iteration; each start counts as iteration 0
-        assert len(stacks) == res.iterations_used - 2
+        # the starts, then one stacked ladder of the running restarts per iteration;
+        # each start counts as iteration 0
+        assert stacks[0].shape == (2, 6, 6)
+        ladder = len(entpow.search.STEP_LADDER)
+        assert sum(len(st) for st in stacks[1:]) == ladder * (res.iterations_used - 2)
+        assert all(len(st) % ladder == 0 for st in stacks[1:])
         eye = np.eye(part.dim)
         for st in stacks:
-            assert st.shape == (len(entpow.search.STEP_LADDER), 6, 6)
             assert np.abs(st.conj().transpose(0, 2, 1) @ st - eye).max() <= 1e-10
         assert abs(res.best_value - 1 / 3) < 1e-6
 
@@ -115,6 +120,89 @@ class TestMaximizeEp:
         res = quick_run(Bipartition(3, 3), restarts=2, iters=3)
         assert res.iterations_used == 2 * (3 + 1)
         assert all(it <= 7 for it, _ in res.trace)
+
+
+def sequential_maximize(part, seed, restarts, max_iters):
+    """The restarts one after another, one matrix at a time: the definition the lockstep must match.
+
+    Returns ``(best_value, best_matrix, trace, iterations_used)``.
+    """
+    best_val, best_matrix, trace, offset = -math.inf, None, [], 0
+    for r in range(restarts):
+        u = _haar_unitary_from(seed.substream(r).generator(), part.dim)
+        val = ep_value(u, part)
+        local = [(0, val)]
+        for steps in range(1, max_iters + 1):
+            gu = ep_gradient(u, part) @ u.conj().T
+            omega = gu - gu.conj().T
+            w, v = np.linalg.eigh(-1j * omega)
+            rotations = v * np.exp(1j * np.multiply.outer(STEP_LADDER, w))[:, None, :]
+            candidates = rotations @ (v.conj().T @ u)
+            values = ep_values(candidates, part)
+            k = int(np.argmax(values))
+            gain = values[k] - val
+            if not gain > 0:
+                break
+            u, val = candidates[k], float(values[k])
+            local.append((steps, val))
+            if gain <= ASCENT_TOLERANCE:
+                break
+        for it, value in local:
+            if value > best_val:
+                best_val, best_matrix = value, u
+                trace.append((offset + it, value))
+        offset += steps + 1
+    return best_val, best_matrix, trace, offset
+
+
+def fingerprint(res):
+    return repr(res.best_value), res.best_gate.matrix.tobytes(), res.trace, res.iterations_used
+
+
+#: (d1, d2, restarts, max_iters): every shape with d1, d2 <= 3, the three benchmark
+#: configurations, a single restart, and two iteration caps
+LOCKSTEP_CASES = ([(d1, d2, 3, 300) for d1 in (1, 2, 3) for d2 in (1, 2, 3)]
+                  + [(2, 2, 4, 2000), (2, 3, 6, 2500), (2, 4, 6, 6000)]
+                  + [(2, 4, 1, 500), (3, 3, 3, 3), (2, 3, 4, 12)])
+
+
+def record_groups(monkeypatch):
+    """Patch the lockstep ascent to record the size of every group it is handed."""
+    sizes = []
+    real = entpow.search._lockstep_ascent
+
+    def recording(part, starts, max_iters):
+        sizes.append(len(starts))
+        return real(part, starts, max_iters)
+
+    monkeypatch.setattr(entpow.search, "_lockstep_ascent", recording)
+    return sizes
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("case", LOCKSTEP_CASES, ids=lambda c: "{}x{}-r{}-i{}".format(*c))
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_sequential_restarts_bit_for_bit(self, case, seed):
+        d1, d2, restarts, iters = case
+        part = Bipartition(d1, d2)
+        best, matrix, trace, used = sequential_maximize(part, SeedSpec(seed), restarts, iters)
+        res = maximize_ep(part, SeedSpec(seed), restarts, iters)
+        assert fingerprint(res) == (repr(best), matrix.tobytes(), trace, used)
+
+    @pytest.mark.parametrize("part", [P22, Bipartition(2, 4), Bipartition(3, 3)], ids=str)
+    def test_groups_of_one_restart_change_nothing(self, part, monkeypatch):
+        together = maximize_ep(part, SeedSpec(5), 5, 400)
+        monkeypatch.setattr(entpow.search, "LOCKSTEP_ENTRIES", 1)
+        sizes = record_groups(monkeypatch)
+        assert fingerprint(maximize_ep(part, SeedSpec(5), 5, 400)) == fingerprint(together)
+        assert sizes == [1] * 5
+
+    def test_group_size_bounds_the_ladder_stack(self, monkeypatch):
+        sizes = record_groups(monkeypatch)
+        # 2x4: every benchmark configuration runs as one group; 8x8: one restart per group
+        maximize_ep(Bipartition(2, 4), SeedSpec(1), 16, 2)
+        maximize_ep(Bipartition(8, 8), SeedSpec(1), 2, 1)
+        assert sizes == [16, 1, 1]
 
 
 SHAPES_UP_TO_8 = [Bipartition(d1, d2) for d1 in range(1, 9) for d2 in range(1, 9) if d1 * d2 <= 8]
