@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .power import UnitaryGate, _c
+from .power import UnitaryGate, _c, _frobenius2, _gram
 from .tensorops import ensure_finite
 
 #: tolerance for the completeness check on Kraus extraction
@@ -29,26 +29,27 @@ KRAUS_ATOL = 1e-10
 class KrausFamily:
     """Kraus operators of the fixed-second-factor maps derived from one gate.
 
-    ``a_ops`` holds the ``d2`` operators ``A_j`` (each ``d1 x d1``);
-    ``tilde_ops`` holds the ``d1`` reshuffled operators ``Atilde_i`` (each
-    ``d2 x d1``).  Completeness ``sum_j A_j^dag A_j = 1`` is validated on
-    construction.
+    ``a_ops`` is a read-only ``(d2, d1, d1)`` array of the operators ``A_j``;
+    ``tilde_ops`` is its ``(d1, d2, d1)`` transposed view, the reshuffled
+    operators ``Atilde_i`` (each ``d2 x d1``).  Both index, iterate and take
+    ``len`` like lists of operators.  Completeness ``sum_j A_j^dag A_j = 1``
+    is validated on construction.
     """
 
-    a_ops: list[np.ndarray]
-    tilde_ops: list[np.ndarray]
+    a_ops: np.ndarray
+    tilde_ops: np.ndarray
     source_gate: UnitaryGate
     fixed_state: np.ndarray
 
     @property
     def x_op(self) -> np.ndarray:
         """``X = sum_j A_j A_j^dag`` on the first factor; trace ``d1``."""
-        return sum(a @ a.conj().T for a in self.a_ops)
+        return _gram(self.tilde_ops.reshape(1, len(self.tilde_ops), -1))[0]
 
     @property
     def x_tilde_op(self) -> np.ndarray:
         """``Xtilde = sum_i Atilde_i Atilde_i^dag`` on the second factor; trace ``d1``."""
-        return sum(a @ a.conj().T for a in self.tilde_ops)
+        return _gram(self.a_ops.reshape(1, len(self.a_ops), -1))[0]
 
 
 def kraus_from_unitary(gate: UnitaryGate, psi2: np.ndarray) -> KrausFamily:
@@ -72,12 +73,12 @@ def kraus_from_unitary(gate: UnitaryGate, psi2: np.ndarray) -> KrausFamily:
         raise ValidationError("fixed state is not normalized")
 
     u = gate.matrix.reshape(d1, d2, d1, d2)
-    # stacked[j, i, k] = <i j| U |k psi2>
-    stacked = np.transpose(np.tensordot(u, psi2, axes=([3], [0])), (1, 0, 2))
-    a_ops = [stacked[j].copy() for j in range(d2)]
-    tilde_ops = [stacked[:, i, :].copy() for i in range(d1)]
+    # a_ops[j, i, k] = <i j| U |k psi2>
+    a_ops = np.tensordot(u, psi2, axes=([3], [0])).transpose(1, 0, 2)
+    a_ops.setflags(write=False)
+    tilde_ops = a_ops.transpose(1, 0, 2)
 
-    completeness = sum(a.conj().T @ a for a in a_ops)
+    completeness = (a_ops.conj().transpose(0, 2, 1) @ a_ops).sum(axis=0)
     defect = np.abs(completeness - np.eye(d1)).max()
     if defect > KRAUS_ATOL:
         raise ValidationError(f"Kraus completeness defect {defect:.3e} exceeds {KRAUS_ATOL:.1e}")
@@ -90,12 +91,9 @@ def partial_ep(k: KrausFamily) -> float:
     Equals ``1 - C_{d1} (tr Xtilde^2 + tr X^2)``; averaging it over Haar-random
     fixed states recovers the gate's full entangling power.
     """
-    d1 = k.source_gate.d1
-    x = k.x_op
-    xt = k.x_tilde_op
-    tr_x2 = float(np.trace(x @ x).real)
-    tr_xt2 = float(np.trace(xt @ xt).real)
-    return 1.0 - _c(d1) * (tr_xt2 + tr_x2)
+    # X and Xtilde are Hermitian, so tr X^2 = ||X||_F^2
+    tr_x2, tr_xt2 = (float(_frobenius2(x[None])[0]) for x in (k.x_op, k.x_tilde_op))
+    return 1.0 - _c(k.source_gate.d1) * (tr_xt2 + tr_x2)
 
 
 def partial_ep_bound(gate: UnitaryGate) -> float:
@@ -117,8 +115,7 @@ def unitality_gap(k: KrausFamily) -> tuple[float, float]:
     sends the maximally mixed input from the maximally mixed output.  Both
     vanishing for every fixed state is what bound saturation requires.
     """
-    d1 = k.source_gate.d1
-    d2 = k.source_gate.d2
+    d1, d2 = k.source_gate.d1, k.source_gate.d2
     gap1 = float(np.linalg.norm(k.x_op / d1 - np.eye(d1) / d1))
     gap2 = float(np.linalg.norm(k.x_tilde_op / d1 - np.eye(d2) / d2))
     return gap1, gap2

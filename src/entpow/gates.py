@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, ResourceLimitError, ValidationError
 from .power import UnitaryGate
-from .tensorops import DEFAULT_DIM_CAP, Bipartition, ensure_finite, kron, permutation_matrix
+from .tensorops import DEFAULT_DIM_CAP, Bipartition, _is_integer, ensure_finite, kron, permutation_matrix
 
 #: tolerance for the pairwise Hilbert-Schmidt orthogonality check
 HS_ORTHO_ATOL = 1e-8
@@ -125,6 +125,8 @@ def make_basis_permutation(part: Bipartition, table) -> UnitaryGate:
     """Gate permuting computational basis states: ``|k> -> |table[k]>``."""
     table = list(table)
     n = part.dim
+    if not all(_is_integer(k) for k in table):
+        raise ValidationError(f"table entries must be integers: {table}")
     if sorted(table) != list(range(n)):
         raise ValidationError(f"table is not a bijection on 0..{n - 1}: {table}")
     return UnitaryGate(permutation_matrix(table), part)

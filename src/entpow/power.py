@@ -126,14 +126,16 @@ def _gram(a: np.ndarray) -> np.ndarray:
     return a @ a.conj().transpose(0, 2, 1)
 
 
-def _grams(stack: np.ndarray, part: Bipartition) -> tuple[np.ndarray, ...]:
-    """``A0, T0, A1, T1`` of a stack of gates: two rearrangements and their ``T = A A^dag``.
+def _i0_i1(stack: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The two exchange-operator traces of a stack of gates, and the stacks behind them.
 
     With ``u`` each gate reshaped to four indices (row pair, column pair),
     ``A0`` pairs the ``d1`` indices and ``A1`` the ``d2`` indices, so that
     contracting two copies of ``u`` against two conjugated copies becomes
-    one matrix product per trace, at cost O((d1 d2)^3) per gate.  The traces
-    and the gradient are both read off these four stacks.
+    one matrix product per trace, at cost O((d1 d2)^3) per gate.  Each trace
+    is a constant plus the squared Frobenius norm of its ``T = A A^dag``; the
+    third value is ``(A0, T0, A1, T1)``, from which :func:`_gradients` reads
+    the gradient.
     """
     d1, d2 = part.d1, part.d2
     u = stack.reshape(-1, d1, d2, d1, d2)
@@ -142,18 +144,8 @@ def _grams(stack: np.ndarray, part: Bipartition) -> tuple[np.ndarray, ...]:
     a0 = u.transpose(0, 1, 3, 2, 4).reshape(n, d1 * d1, d2 * d2)
     # I1: contract over the d1 indices of each copy -> matrix indexed by d2 index pairs
     a1 = u.transpose(0, 2, 3, 1, 4).reshape(n, d2 * d1, d1 * d2)
-    return a0, _gram(a0), a1, _gram(a1)
-
-
-def _i0_i1(stack: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """The two exchange-operator traces of a stack of gates, and the :func:`_grams` behind them.
-
-    Each trace is a constant plus the squared Frobenius norm of its ``T = A A^dag``.
-    """
-    d1, d2 = part.d1, part.d2
-    grams = _grams(stack, part)
-    t0, t1 = grams[1], grams[3]
-    return d1 * d2 * d2 + _frobenius2(t0), d1 * d1 * d2 + _frobenius2(t1), grams
+    t0, t1 = _gram(a0), _gram(a1)
+    return d1 * d2 * d2 + _frobenius2(t0), d1 * d1 * d2 + _frobenius2(t1), (a0, t0, a1, t1)
 
 
 def _frobenius2(t: np.ndarray) -> np.ndarray:
@@ -176,13 +168,18 @@ def ep_values(stack: np.ndarray, part: Bipartition) -> np.ndarray:
     return _closed_form(i0, i1, part)
 
 
-#: matrix entries per sub-stack of gates drawn and evaluated at once; caps the
-#: working set of :func:`ep_values` without changing any value
+#: matrix entries per sub-stack of matrices (see :func:`substack_size`); caps
+#: the working set without changing any value
 _SUBSTACK_ENTRIES = 4096
 
 
 def substack_size(n: int) -> int:
-    """Number of ``(n, n)`` matrices in one sub-stack passed to :func:`ep_values`."""
+    """Number of ``(n, n)`` matrices in one sub-stack passed to :func:`ep_values`.
+
+    Also the number of restarts in one lockstep group of
+    :func:`entpow.search.maximize_ep`, whose ladder stack then holds at most
+    ``len(STEP_LADDER)`` times as many entries.
+    """
     return max(1, _SUBSTACK_ENTRIES // (n * n))
 
 
@@ -195,17 +192,9 @@ def ep_value(matrix: np.ndarray, part: Bipartition) -> float:
     return float(ep_values(matrix, part)[0])
 
 
-def ep_gradient(matrix: np.ndarray, part: Bipartition) -> np.ndarray:
-    """Euclidean gradient of the closed-form entangling power at one unitary.
-
-    The ``N = 1`` case of :func:`_gradients`, bit for bit.
-    """
-    return _gradients(*_grams(matrix, part), part)[0]
-
-
 def _gradients(a0: np.ndarray, t0: np.ndarray, a1: np.ndarray, t1: np.ndarray,
                part: Bipartition) -> np.ndarray:
-    """Euclidean gradients of the closed form at a stack of unitaries, from their :func:`_grams`.
+    """Euclidean gradients of the closed form at a stack of unitaries, from :func:`_i0_i1`'s stacks.
 
     The closed form is quartic in ``U``.  With ``T = A A^dag`` for each
     rearrangement ``A``, ``d||T||^2 = 4 Re tr((T A)^dag dA)``, so in the

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .tensorops import DEFAULT_DIM_CAP, Bipartition
+from .tensorops import DEFAULT_DIM_CAP, Bipartition, _is_integer
 
 #: fixed number of sub-streams a bulk sampling request is split over
 NUM_STREAM_BLOCKS = 64
@@ -27,6 +27,11 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self):
+        for name in ("master_seed", "stream_index"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 0 <= self.master_seed < 2**64:
             raise ValidationError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
         if self.stream_index < 0:

@@ -16,8 +16,10 @@ the gradient at an accepted candidate is read off the Gram matrices its ladder
 evaluation already formed.  Each restart keeps its own acceptance and stopping
 rule and leaves the stack when it stops.  Every operation acts on each
 restart's slice alone, so the result is that of running the restarts one
-after another, bit for bit.  Restarts run in groups whose ladder stacks hold
-at most ``LOCKSTEP_ENTRIES`` entries, which bounds memory at large ``d1 d2``.
+after another, bit for bit.  Restarts run in groups of
+``substack_size(d1 d2)`` (:mod:`entpow.power`), so a group's ladder stack
+holds at most ``len(STEP_LADDER) * 4096`` entries, which bounds memory at
+large ``d1 d2``.
 
 The discrete search runs over basis permutations.  Entangling power is
 invariant under local unitaries, and relabeling the outputs ``(a, b) ->
@@ -45,11 +47,6 @@ STEP_LADDER = 2.0 ** np.arange(4, -12, -1)
 
 #: an ascent stops once its best step gains at most this much
 ASCENT_TOLERANCE = 1e-9
-
-#: matrix entries in the ladder stack of one lockstep group (``len(STEP_LADDER)``
-#: candidates per restart); bounds the working set of :func:`maximize_ep`
-#: without changing any value
-LOCKSTEP_ENTRIES = 2 ** 16
 
 
 @dataclass(eq=False)
@@ -122,17 +119,16 @@ def maximize_ep(part: Bipartition, seed: SeedSpec, restarts: int = 16,
     Every evaluated candidate is a valid unitary, so the best value respects
     the analytic upper bound.  The defaults handle dimensions up to 4x4 well.
 
-    Restarts advance in lockstep (:func:`_lockstep_ascent`), in groups taken
-    in restart order whose ladder stacks hold at most ``LOCKSTEP_ENTRIES``
-    entries.  A restart's result does not depend on its group, so the result
-    is that of running the restarts one after another, bit for bit.  From
-    ``d1 d2 = 46`` on, a group is one restart, and memory is that of a single
-    ascent.
+    Restarts advance in lockstep (:func:`_lockstep_ascent`), in groups of
+    ``substack_size(d1 d2)`` taken in restart order.  A restart's result does
+    not depend on its group, so the result is that of running the restarts one
+    after another, bit for bit.  From ``d1 d2 = 46`` on, a group is one
+    restart, and memory is that of a single ascent.
     """
     if restarts < 1 or max_iters < 1:
         raise ValidationError("restarts and max_iters must be positive")
     n = part.dim
-    group = max(1, LOCKSTEP_ENTRIES // (len(STEP_LADDER) * n * n))
+    group = substack_size(n)
     best_val, best_matrix = -math.inf, None
     trace: list[tuple[int, float]] = []
     offset = 0
@@ -191,7 +187,7 @@ def exhaustive_permutation_max(part: Bipartition) -> tuple[float, tuple[int, ...
 
     Evaluates only the least table of each output-relabeling orbit
     (:func:`_orbit_representatives`), in lexicographic order and in
-    sub-stacks of ``max(1, 4096 // n^2)`` tables per call; ties are broken by
+    sub-stacks of ``substack_size(n)`` tables per call; ties are broken by
     the lexicographically smallest table.  For 0/1 matrices the closed form
     sums exact integers, so a whole orbit shares one value bit for bit, and
     the first maximizer over all ``(d1*d2)!`` tables is the least of its orbit:

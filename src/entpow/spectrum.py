@@ -69,8 +69,6 @@ def sample_q(part: Bipartition, n_samples: int, n_bins: int, seed: SeedSpec) -> 
 
 def _haar_values(part: Bipartition, n_samples: int, seed: SeedSpec) -> np.ndarray:
     """Entangling power of ``n_samples`` Haar-random gates, in stream order."""
-    if n_samples < 1:
-        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     n = part.dim
     substack = substack_size(n)
     chunks = []

@@ -19,6 +19,11 @@ DEFAULT_DIM_CAP = 2000
 _EXCHANGES = ("T13", "T24", "T13T24")
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers, false for bools (an ``int`` subclass)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Bipartition:
     """A fixed tensor factorization ``C^{d1} (x) C^{d2}``."""
@@ -27,7 +32,7 @@ class Bipartition:
     d2: int
 
     def __post_init__(self):
-        if not all(isinstance(d, Integral) and not isinstance(d, bool) for d in (self.d1, self.d2)):
+        if not (_is_integer(self.d1) and _is_integer(self.d2)):
             raise DimensionError(f"factor dimensions must be integers, got ({self.d1!r}, {self.d2!r})")
         if self.d1 < 1 or self.d2 < 1:
             raise DimensionError(f"factor dimensions must be >= 1, got ({self.d1}, {self.d2})")

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import entpow
 
 #: the public surface of entpow; a name added or removed here is an API change
@@ -31,3 +34,15 @@ def test_public_surface_is_exactly_the_listed_names():
 def test_removed_names_stay_removed():
     for name in REMOVED:
         assert not hasattr(entpow, name), name
+
+
+def test_benchmark_patch_targets_resolve():
+    # bench/spans.py traces a run by patching these module bindings; a binding that is
+    # unused inside entpow must still stay, or the benchmark loses a layer
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for _, module, attr in spans.TARGETS:
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"

@@ -39,6 +39,8 @@ class TestKrausExtraction:
         fam = kraus_from_unitary(haar_gate(P23, SeedSpec(41)), ket(1, 1, 1))
         assert len(fam.a_ops) == 3 and all(a.shape == (2, 2) for a in fam.a_ops)
         assert len(fam.tilde_ops) == 2 and all(a.shape == (3, 2) for a in fam.tilde_ops)
+        with pytest.raises(ValueError, match="read-only"):
+            fam.a_ops[0, 0, 0] = 2.0
 
     def test_completeness_and_traces(self):
         seed = SeedSpec(42)
@@ -51,6 +53,18 @@ class TestKrausExtraction:
             assert np.abs(total - np.eye(part.d1)).max() < 1e-10
             assert abs(np.trace(fam.x_op) - part.d1) < 1e-10
             assert abs(np.trace(fam.x_tilde_op) - part.d1) < 1e-10
+
+    @pytest.mark.parametrize("part", [P22, P23, Bipartition(3, 2)], ids=str)
+    def test_gram_route_matches_explicit_sums(self, part):
+        seed = SeedSpec(43)
+        for i in range(20):
+            g = haar_gate(part, seed.substream(2 * i))
+            psi2 = haar_state(part.d2, seed.substream(2 * i + 1)).ravel()
+            fam = kraus_from_unitary(g, psi2)
+            x = sum(a @ a.conj().T for a in fam.a_ops)
+            x_tilde = sum(a @ a.conj().T for a in fam.tilde_ops)
+            assert np.abs(fam.x_op - x).max() <= 1e-14
+            assert np.abs(fam.x_tilde_op - x_tilde).max() <= 1e-14
 
     def test_rejects_bad_fixed_state(self):
         with pytest.raises(ValidationError):

@@ -137,6 +137,11 @@ class TestSimpleConstructors:
         assert is_permutation_matrix(m)
         assert_allclose(m[:, 0], [0, 1, 0, 0])
 
+    @pytest.mark.parametrize("table", [[1.0, 0.0], [True, False]], ids=repr)
+    def test_basis_permutation_rejects_non_integer_entries(self, table):
+        with pytest.raises(ValidationError, match="must be integers"):
+            make_basis_permutation(Bipartition(1, 2), table)
+
     def test_basis_permutation_rejects_non_bijection(self):
         with pytest.raises(ValidationError, match="bijection"):
             make_basis_permutation(Bipartition(2, 2), [0, 1, 1, 3])

@@ -32,6 +32,18 @@ class TestSeedSpec:
         with pytest.raises(ValidationError):
             SeedSpec(3, -2)
 
+    @pytest.mark.parametrize("args", [(1.5,), (1, 0.5), ("3",), (True,), (3, False), (np.float64(2.0),)],
+                             ids=repr)
+    def test_rejects_non_integers(self, args):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            SeedSpec(*args)
+
+    def test_accepts_numpy_integers(self):
+        seed = SeedSpec(np.uint64(2**64 - 1), np.int32(3))
+        assert seed == SeedSpec(2**64 - 1, 3)
+        assert type(seed.master_seed) is int and type(seed.stream_index) is int
+        assert_array_equal(haar_state(3, SeedSpec(np.int64(9))), haar_state(3, SeedSpec(9)))
+
     def test_substream(self):
         assert SeedSpec(7, 2).substream(3) == SeedSpec(7, 5)
 

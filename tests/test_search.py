@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import entpow.power
 import entpow.search
 from entpow import (Bipartition, ResourceLimitError, SeedSpec,
                     ValidationError, ep_closed, ep_value, exhaustive_permutation_max,
                     make_additive_permutation, make_basis_permutation, make_cnot,
                     maximize_ep, upper_bound)
-from entpow.power import ep_gradient, ep_values, substack_size
+from entpow.power import _gradients, _i0_i1, ep_values, substack_size
 from entpow.sampling import _haar_unitary_from
 from entpow.search import ASCENT_TOLERANCE, STEP_LADDER
 from entpow.tensorops import permutation_matrix
@@ -133,7 +134,7 @@ def sequential_maximize(part, seed, restarts, max_iters):
         val = ep_value(u, part)
         local = [(0, val)]
         for steps in range(1, max_iters + 1):
-            gu = ep_gradient(u, part) @ u.conj().T
+            gu = _gradients(*_i0_i1(u, part)[2], part)[0] @ u.conj().T
             omega = gu - gu.conj().T
             w, v = np.linalg.eigh(-1j * omega)
             rotations = v * np.exp(1j * np.multiply.outer(STEP_LADDER, w))[:, None, :]
@@ -192,7 +193,7 @@ class TestLockstep:
     @pytest.mark.parametrize("part", [P22, Bipartition(2, 4), Bipartition(3, 3)], ids=str)
     def test_groups_of_one_restart_change_nothing(self, part, monkeypatch):
         together = maximize_ep(part, SeedSpec(5), 5, 400)
-        monkeypatch.setattr(entpow.search, "LOCKSTEP_ENTRIES", 1)
+        monkeypatch.setattr(entpow.power, "_SUBSTACK_ENTRIES", 1)
         sizes = record_groups(monkeypatch)
         assert fingerprint(maximize_ep(part, SeedSpec(5), 5, 400)) == fingerprint(together)
         assert sizes == [1] * 5

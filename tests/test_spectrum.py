@@ -3,7 +3,7 @@ import pytest
 
 from entpow import Bipartition, SeedSpec, ValidationError, haar_mean, sample_q, upper_bound
 from entpow.sampling import block_sizes
-from entpow.power import _SUBSTACK_ENTRIES
+from entpow.power import substack_size
 from entpow.spectrum import _haar_values
 
 from two_qubit import KS_CRITICAL_001, exact_bin_probabilities, exact_mean, ks_gap
@@ -75,7 +75,7 @@ class TestBatchedSampling:
     @pytest.mark.parametrize("d1, d2, n_samples", [(2, 2, 64 * 300 + 5), (3, 4, 64 * 30 + 7)])
     def test_values_equal_per_gate_loop(self, d1, d2, n_samples):
         part = Bipartition(d1, d2)
-        substack = _SUBSTACK_ENTRIES // part.dim ** 2
+        substack = substack_size(part.dim)
         # every block spans a partial sub-stack, so the sub-stack boundaries are exercised
         assert all(count > substack and count % substack for count in block_sizes(n_samples))
         ref = per_gate_values(part, n_samples, SeedSpec(77))
