@@ -107,10 +107,12 @@ def _write_outputs(args, part: Bipartition, started: float, write) -> None:
     """Write ``args.out`` by ``write(path)`` and its sibling ``<out>.manifest.json``, atomically.
 
     Both are written to temporary files next to their targets; only when both
-    are complete is the output moved into place, then the manifest.  A failed
-    run leaves no temporary file, and an existing output and manifest as they
-    were.  ``argv`` is the command plus ``--<dest> <value>`` for every option
-    that is set, defaults included, so replaying it re-runs the same command.
+    are complete is the output moved into place, then the manifest.  A hard
+    link keeps the previous output until the manifest is in place, so a failed
+    second move puts it back.  A failed run leaves no temporary file, and an
+    existing output and manifest as they were.  ``argv`` is the command plus
+    ``--<dest> <value>`` for every option that is set, defaults included, so
+    replaying it re-runs the same command.
     ``seed`` is the master seed (``null`` for a command that does not sample),
     and ``parameters`` holds the other options except, for commands without a
     gate, the dimensions, recorded under ``part``.
@@ -132,17 +134,33 @@ def _write_outputs(args, part: Bipartition, started: float, write) -> None:
     }
     targets = [Path(args.out), Path(args.out + ".manifest.json")]
     temps = [t.with_name(f".{t.name}.{os.getpid()}.tmp") for t in targets]
-    # os.replace onto a directory would fail only once the output is already in place
-    if targets[1].is_dir():
-        raise IsADirectoryError(f"manifest path {targets[1]} is a directory")
+    previous = temps[0].with_suffix(".old")
+    for target in targets:
+        if target.is_dir():     # refused before anything is written
+            raise IsADirectoryError(f"{target} is a directory")
+    kept = False    # whether `previous` is a hard link to the output being replaced
     try:
         write(temps[0])
         _json_writer(manifest)(temps[1])
-        for temp, target in zip(temps, targets):
-            os.replace(temp, target)
+        try:
+            os.link(targets[0], previous)
+            kept = True
+        except FileNotFoundError:
+            pass
+        os.replace(temps[0], targets[0])
+        try:
+            os.replace(temps[1], targets[1])
+        except OSError:
+            # undo the first move, so the output still matches its manifest
+            if kept:
+                kept = False    # if this move fails too, the link is the old output's last copy
+                os.replace(previous, targets[0])
+            else:
+                targets[0].unlink()
+            raise
     finally:
-        for temp in temps:
-            temp.unlink(missing_ok=True)
+        for path in temps + [previous] * kept:
+            path.unlink(missing_ok=True)
 
 
 def _print_report(gate: UnitaryGate, report) -> None:

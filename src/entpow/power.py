@@ -177,8 +177,8 @@ def substack_size(n: int) -> int:
     """Number of ``(n, n)`` matrices in one sub-stack passed to :func:`ep_values`.
 
     Also the number of restarts in one lockstep group of
-    :func:`entpow.search.maximize_ep`, whose ladder stack then holds at most
-    ``len(STEP_LADDER)`` times as many entries.
+    :func:`entpow.search.maximize_ep`, whose stack of three-step windows then
+    holds at most three times as many entries.
     """
     return max(1, _SUBSTACK_ENTRIES // (n * n))
 

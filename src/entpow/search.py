@@ -4,22 +4,24 @@ The continuous search is Riemannian steepest ascent on U(n) (Abrudan,
 Eriksson & Koivunen, IEEE TSP 56(3), 2008).  The closed form is quartic in
 ``U``, so its Euclidean gradient ``G`` is exact; the ascent direction is the
 skew-Hermitian ``Omega = G U^dag - U G^dag`` and the update is
-``U <- exp(eta Omega) U``.  One ``eigh`` of ``-i Omega`` gives the rotation for
-every step size of a fixed ladder, and the whole ladder of candidates is
-evaluated in one stacked call.  Only strict improvements are accepted.
-Restarts use independent seed substreams, so results are deterministic and
-adding restarts can only improve the best value.
+``U <- exp(eta Omega) U``.  Each restart tries a window of three steps,
+``eta = 2^(c+1), 2^c, 2^(c-1)``, all from one ``eigh`` of ``-i Omega`` and
+evaluated in one stacked call.  Only strict improvements are accepted.  As in
+Abrudan et al.'s Armijo rule, the step adapts by powers of two: ``c`` starts
+at 0 and moves to the exponent of each accepted step, with no upper cap, and
+drops by 3 when no step in the window improves.  Restarts use independent
+seed substreams, so results are deterministic and adding restarts can only
+improve the best value.
 
 Restarts advance in lockstep: each iteration takes one stacked gradient, one
-batched ``eigh`` and one ladder evaluation for all restarts still running, and
-the gradient at an accepted candidate is read off the Gram matrices its ladder
-evaluation already formed.  Each restart keeps its own acceptance and stopping
-rule and leaves the stack when it stops.  Every operation acts on each
-restart's slice alone, so the result is that of running the restarts one
+batched ``eigh`` and one window evaluation for all restarts still running, and
+the gradient at an accepted candidate is read off the Gram matrices its window
+evaluation already formed.  Each restart keeps its own step, acceptance and
+stopping rule and leaves the stack when it stops.  Every operation acts on
+each restart's slice alone, so the result is that of running the restarts one
 after another, bit for bit.  Restarts run in groups of
-``substack_size(d1 d2)`` (:mod:`entpow.power`), so a group's ladder stack
-holds at most ``len(STEP_LADDER) * 4096`` entries, which bounds memory at
-large ``d1 d2``.
+``substack_size(d1 d2)`` (:mod:`entpow.power`), so a group's window stack
+holds at most ``3 * 4096`` entries, which bounds memory at large ``d1 d2``.
 
 The discrete search runs over basis permutations.  Entangling power is
 invariant under local unitaries, and relabeling the outputs ``(a, b) ->
@@ -42,8 +44,11 @@ from .tensorops import Bipartition, permutation_matrix
 #: cap on d1*d2 for exhaustive permutation search ((d1*d2)! / (d1! d2!) candidates)
 PERMUTATION_DIM_CAP = 10
 
-#: step sizes eta tried along every ascent direction, 2^4 down to 2^-11
-STEP_LADDER = 2.0 ** np.arange(4, -12, -1)
+#: exponents of a window's three steps relative to its centre exponent c
+_WINDOW = np.array([1, 0, -1])
+
+#: no window tries a step below 2^MIN_STEP_EXPONENT
+MIN_STEP_EXPONENT = -11
 
 #: an ascent stops once its best step gains at most this much
 ASCENT_TOLERANCE = 1e-9
@@ -65,46 +70,58 @@ def _lockstep_ascent(part: Bipartition, starts: np.ndarray, max_iters: int):
     """Lockstep ascent from a ``(k, n, n)`` stack of starts (see the module docstring).
 
     Returns each restart's final matrix, local improvement trace and iteration
-    count.  Iteration 0 is the start; a restart accepts its best candidate only
-    if it improves, and stops when no step improves, when its gain is at most
-    ``ASCENT_TOLERANCE``, or after ``max_iters`` steps.  The last trace entry
-    holds the returned matrix's value.
+    count.  Iteration 0 is the start; each later iteration evaluates one
+    window of steps ``2^(c+1), 2^c, 2^(c-1)``.  A restart accepts the window's
+    best candidate only if it improves, and ``c`` moves to that step's
+    exponent; if none improves, ``c`` drops by 3.  A restart stops when an
+    accepted gain is at most ``ASCENT_TOLERANCE``, when its next window would
+    try a step below ``2^MIN_STEP_EXPONENT``, when ``Omega`` is exactly 0, or
+    after ``max_iters`` windows.  The last trace entry holds the returned
+    matrix's value.
     """
     k, n = len(starts), part.dim
     i0, i1, grams = _i0_i1(starts, part)
     values = _closed_form(i0, i1, part)
-    traces = [[(0, float(v))] for v in values]
-    iterations = [max_iters + 1] * k
-    finals = starts.copy()     # each restart's last accepted matrix
-    running, u = np.arange(k), starts
+    traces = [[(0, v)] for v in values.tolist()]
+    # each restart's current matrix and Gram stacks, replaced when it accepts a step;
+    # copies, because the Gram stacks of a trivial factor are views of the starts
+    state = tuple(np.array(s) for s in (starts, *grams))
+    log = []    # (iteration, restarts running, their windows' best values, which accepted)
+    running, centre = np.arange(k), np.zeros(k, dtype=int)
     for steps in range(1, max_iters + 1):
+        u, *grams = (s[running] for s in state)
         gu = _gradients(*grams, part) @ u.conj().transpose(0, 2, 1)
         omega = gu - gu.conj().transpose(0, 2, 1)
         # exp(eta Omega) = v diag(exp(i eta w)) v^dag for the eigenpairs (w, v) of -i Omega
         w, v = np.linalg.eigh(-1j * omega)
-        phases = np.exp(1j * (STEP_LADDER[:, None] * w[:, None, :]))
+        exponents = centre[:, None] + _WINDOW
+        phases = np.exp(1j * ((2.0 ** exponents)[:, :, None] * w[:, None, :]))
         rotations = v[:, None] * phases[:, :, None, :]
         candidates = (rotations @ (v.conj().transpose(0, 2, 1) @ u)[:, None]).reshape(-1, n, n)
-        i0, i1, ladder = _i0_i1(candidates, part)
-        ladder_values = _closed_form(i0, i1, part).reshape(len(running), len(STEP_LADDER))
-        rows = np.arange(len(running))
-        best = ladder_values.argmax(axis=1)
-        top = ladder_values[rows, best]
+        i0, i1, window = _i0_i1(candidates, part)
+        window_values = _closed_form(i0, i1, part).reshape(len(running), len(_WINDOW))
+        picked = np.arange(len(running)) * len(_WINDOW) + window_values.argmax(axis=1)
+        top = window_values.ravel()[picked]
         gain = top - values
-        accepted = gain > 0     # no step size improves (a NaN stops too)
-        going = gain > ASCENT_TOLERANCE
-        picked = rows * len(STEP_LADDER) + best
-        finals[running[accepted]] = candidates[picked[accepted]]
-        for i in np.flatnonzero(accepted):
-            traces[running[i]].append((steps, float(top[i])))
-        for r in running[~going]:
-            iterations[r] = steps + 1
-        running, picked, values = running[going], picked[going], top[going]
+        accepted = gain > 0     # no step improves (a NaN counts as none)
+        log.append((steps, running, top, accepted))
+        won, source = running[accepted], picked[accepted]
+        for s, new in zip(state, (candidates, *window)):
+            s[won] = new[source]
+        centre = np.where(accepted, exponents.ravel()[picked], centre - 3)
+        going = (np.where(accepted, gain > ASCENT_TOLERANCE, omega.any(axis=(1, 2)))
+                 & (centre - 1 >= MIN_STEP_EXPONENT))
+        values = np.where(accepted, top, values)
+        running, centre, values = running[going], centre[going], values[going]
         if not len(running):
             break
-        u, grams = finals[running], tuple(g[picked] for g in ladder)
-        del candidates, ladder   # one ladder's stacks alive at a time
-    return finals, traces, iterations
+        del candidates, window   # one window's stacks alive at a time
+    iterations = np.zeros(k, dtype=int)
+    for steps, restarts, tops, accepted in log:
+        iterations[restarts] = steps + 1
+        for r, top in zip(restarts[accepted].tolist(), tops[accepted].tolist()):
+            traces[r].append((steps, top))
+    return state[0], traces, iterations.tolist()
 
 
 def maximize_ep(part: Bipartition, seed: SeedSpec, restarts: int = 16,
@@ -119,11 +136,14 @@ def maximize_ep(part: Bipartition, seed: SeedSpec, restarts: int = 16,
     Every evaluated candidate is a valid unitary, so the best value respects
     the analytic upper bound.  The defaults handle dimensions up to 4x4 well.
 
-    Restarts advance in lockstep (:func:`_lockstep_ascent`), in groups of
-    ``substack_size(d1 d2)`` taken in restart order.  A restart's result does
-    not depend on its group, so the result is that of running the restarts one
-    after another, bit for bit.  From ``d1 d2 = 46`` on, a group is one
-    restart, and memory is that of a single ascent.
+    Each iteration of a restart evaluates one window of three step sizes (see
+    the module docstring), whether or not a step in it improves; ``max_iters``
+    caps the windows of each restart.  Restarts advance in lockstep
+    (:func:`_lockstep_ascent`), in groups of ``substack_size(d1 d2)`` taken in
+    restart order.  A restart's result does not depend on its group, so the
+    result is that of running the restarts one after another, bit for bit.
+    From ``d1 d2 = 46`` on, a group is one restart, and memory is that of a
+    single ascent.
     """
     if restarts < 1 or max_iters < 1:
         raise ValidationError("restarts and max_iters must be positive")

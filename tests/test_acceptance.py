@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from entpow import (Bipartition, SeedSpec, ep_closed, ep_dense_oracle,
-                    ep_monte_carlo, ep_value, ep_values, exhaustive_permutation_max, haar_gate,
+                    ep_monte_carlo, ep_value, exhaustive_permutation_max, haar_gate,
                     haar_mean, haar_state, haar_unitary, kraus_from_unitary, kron,
                     make_additive_permutation, make_cnot, make_controlled_family,
                     make_identity, make_swap, maximize_ep,
                     partial_ep, sample_q, swap_symmetric_ep, upper_bound)
 
-from entpow.power import substack_size
+from entpow.spectrum import _haar_values
 
 from two_qubit import KS_CRITICAL_001, exact_bin_probabilities, ks_gap
 
@@ -186,10 +186,8 @@ def test_criterion_7_two_qubit_ceiling():
     with criterion(7, "2x2 never exceeds 2/9 + 1e-6 (1e5 Haar draws + optimizer)"):
         part = Bipartition(2, 2)
         ceiling = 2 / 9 + 1e-6
-        seed, draws, stack = SeedSpec(10075), 100_000, substack_size(4)
-        for first in range(0, draws, stack):
-            gates = [haar_unitary(4, seed.substream(i)) for i in range(first, min(first + stack, draws))]
-            assert ep_values(np.stack(gates), part).max() <= ceiling
+        # the ceiling is a theorem, so any 1e5 Haar gates test it; these are drawn in stacks
+        assert _haar_values(part, 100_000, SeedSpec(10075)).max() <= ceiling
         result = maximize_ep(part, SeedSpec(1007), restarts=8, max_iters=2000)
         # strict-greater acceptance makes best_value the max over every candidate evaluated
         assert result.best_value <= ceiling

@@ -1,4 +1,5 @@
 import json
+import os
 from argparse import Namespace
 from pathlib import Path
 
@@ -380,6 +381,28 @@ class TestAtomicOutputs:
         monkeypatch.setattr(Path, "write_text", disk_full_for_manifests)
         assert main(["eval", "--gate", "cnot", "--out", str(out)]) == EXIT_IO
         assert "No space left on device" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["over-old-pair", "no-old-pair"])
+    def test_failed_manifest_move_restores_the_old_output(self, capsys, monkeypatch, tmp_path,
+                                                          existing):
+        out = tmp_path / "r.json"
+        if existing:
+            assert main(["eval", "--gate", "swap", "--d", "2", "--out", str(out)]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        replace, calls = os.replace, []
+
+        def second_call_fails(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError(5, "Input/output error")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_call_fails)
+        assert main(["eval", "--gate", "cnot", "--out", str(out)]) == EXIT_IO
+        assert "Input/output error" in capsys.readouterr().err
+        assert calls[:2] == [out, Path(f"{out}.manifest.json")]
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 

@@ -12,7 +12,7 @@ from entpow import (Bipartition, ResourceLimitError, SeedSpec,
                     maximize_ep, upper_bound)
 from entpow.power import _gradients, _i0_i1, ep_values, substack_size
 from entpow.sampling import _haar_unitary_from
-from entpow.search import ASCENT_TOLERANCE, STEP_LADDER
+from entpow.search import ASCENT_TOLERANCE, MIN_STEP_EXPONENT
 from entpow.tensorops import permutation_matrix
 
 P22 = Bipartition(2, 2)
@@ -95,27 +95,37 @@ class TestMaximizeEp:
         assert res.iterations_used == 3 * 2
 
     def test_every_candidate_is_unitary(self, monkeypatch):
-        # accepted iterates are ladder candidates, so checking every candidate covers them
-        stacks = []
-        real_i0_i1 = entpow.search._i0_i1
-
-        def recording(stack, part):
-            stacks.append(stack.copy())
-            return real_i0_i1(stack, part)
-
-        monkeypatch.setattr(entpow.search, "_i0_i1", recording)
+        # accepted iterates are window candidates, so checking every candidate covers them
+        stacks = record_stacks(monkeypatch)
         part = Bipartition(2, 3)
         res = quick_run(part, restarts=2, iters=300)
-        # the starts, then one stacked ladder of the running restarts per iteration;
-        # each start counts as iteration 0
+        # the starts, then one stacked window of 3 candidates per running restart per
+        # iteration; each start counts as iteration 0
         assert stacks[0].shape == (2, 6, 6)
-        ladder = len(entpow.search.STEP_LADDER)
-        assert sum(len(st) for st in stacks[1:]) == ladder * (res.iterations_used - 2)
-        assert all(len(st) % ladder == 0 for st in stacks[1:])
+        assert sum(len(st) for st in stacks[1:]) == 3 * (res.iterations_used - 2)
+        assert all(len(st) % 3 == 0 for st in stacks[1:])
         eye = np.eye(part.dim)
         for st in stacks:
             assert np.abs(st.conj().transpose(0, 2, 1) @ st - eye).max() <= 1e-10
         assert abs(res.best_value - 1 / 3) < 1e-6
+
+    def test_failed_window_keeps_the_matrix_and_lowers_the_steps(self, monkeypatch):
+        # at 2x2 from seed 18, the restart accepts steps 2^1, 2^2 and 2^3; its fourth
+        # window, 2^4, 2^3 and 2^2, improves nothing, so the fifth is 2^1, 2^0 and 2^-1
+        assert sequential_maximize(P22, SeedSpec(18), 1, 3)[4] == [1, 2, 3]
+        before = maximize_ep(P22, SeedSpec(18), restarts=1, max_iters=3)
+        after = maximize_ep(P22, SeedSpec(18), restarts=1, max_iters=4)
+        assert fingerprint(after)[:3] == fingerprint(before)[:3]
+        assert after.iterations_used == before.iterations_used + 1
+        stacks = record_stacks(monkeypatch)
+        maximize_ep(P22, SeedSpec(18), restarts=1, max_iters=5)
+        u = before.best_gate.matrix
+        gu = _gradients(*_i0_i1(u, P22)[2], P22)[0] @ u.conj().T
+        w, v = np.linalg.eigh(-1j * (gu - gu.conj().T))
+        for window, exponents in [(stacks[4], (4, 3, 2)), (stacks[5], (1, 0, -1))]:
+            # exp(2^e Omega) u, one step at a time
+            expected = [(v * np.exp(1j * 2.0 ** e * w)) @ v.conj().T @ u for e in exponents]
+            assert np.abs(window - expected).max() <= 1e-10
 
     def test_iteration_cap(self):
         res = quick_run(Bipartition(3, 3), restarts=2, iters=3)
@@ -123,37 +133,59 @@ class TestMaximizeEp:
         assert all(it <= 7 for it, _ in res.trace)
 
 
+def record_stacks(monkeypatch):
+    """Patch the search's closed-form kernel to record a copy of every stack it evaluates."""
+    stacks = []
+    real_i0_i1 = entpow.search._i0_i1
+
+    def recording(stack, part):
+        stacks.append(stack.copy())
+        return real_i0_i1(stack, part)
+
+    monkeypatch.setattr(entpow.search, "_i0_i1", recording)
+    return stacks
+
+
 def sequential_maximize(part, seed, restarts, max_iters):
     """The restarts one after another, one matrix at a time: the definition the lockstep must match.
 
-    Returns ``(best_value, best_matrix, trace, iterations_used)``.
+    Returns ``(best_value, best_matrix, trace, iterations_used, accepted_exponents)``,
+    the last listing the exponent of every accepted step in order.
     """
-    best_val, best_matrix, trace, offset = -math.inf, None, [], 0
+    best_val, best_matrix, trace, offset, accepted_exponents = -math.inf, None, [], 0, []
     for r in range(restarts):
         u = _haar_unitary_from(seed.substream(r).generator(), part.dim)
         val = ep_value(u, part)
-        local = [(0, val)]
+        local, c = [(0, val)], 0
         for steps in range(1, max_iters + 1):
             gu = _gradients(*_i0_i1(u, part)[2], part)[0] @ u.conj().T
             omega = gu - gu.conj().T
             w, v = np.linalg.eigh(-1j * omega)
-            rotations = v * np.exp(1j * np.multiply.outer(STEP_LADDER, w))[:, None, :]
+            exponents = [c + 1, c, c - 1]
+            etas = 2.0 ** np.array(exponents)
+            rotations = v * np.exp(1j * np.multiply.outer(etas, w))[:, None, :]
             candidates = rotations @ (v.conj().T @ u)
             values = ep_values(candidates, part)
             k = int(np.argmax(values))
             gain = values[k] - val
-            if not gain > 0:
-                break
-            u, val = candidates[k], float(values[k])
-            local.append((steps, val))
-            if gain <= ASCENT_TOLERANCE:
+            if gain > 0:
+                u, val, c = candidates[k], float(values[k]), exponents[k]
+                local.append((steps, val))
+                accepted_exponents.append(c)
+                if gain <= ASCENT_TOLERANCE:
+                    break
+            else:
+                c -= 3
+                if not omega.any():
+                    break
+            if c - 1 < MIN_STEP_EXPONENT:
                 break
         for it, value in local:
             if value > best_val:
                 best_val, best_matrix = value, u
                 trace.append((offset + it, value))
         offset += steps + 1
-    return best_val, best_matrix, trace, offset
+    return best_val, best_matrix, trace, offset, accepted_exponents
 
 
 def fingerprint(res):
@@ -186,9 +218,17 @@ class TestLockstep:
     def test_matches_sequential_restarts_bit_for_bit(self, case, seed):
         d1, d2, restarts, iters = case
         part = Bipartition(d1, d2)
-        best, matrix, trace, used = sequential_maximize(part, SeedSpec(seed), restarts, iters)
+        best, matrix, trace, used, _ = sequential_maximize(part, SeedSpec(seed), restarts, iters)
         res = maximize_ep(part, SeedSpec(seed), restarts, iters)
         assert fingerprint(res) == (repr(best), matrix.tobytes(), trace, used)
+
+    def test_steps_grow_past_two_to_the_fourth(self):
+        # criterion 7's 3x4 run: the window has no upper cap, unlike the ladder's 2^4
+        part, seed = Bipartition(3, 4), SeedSpec(1007)
+        best, matrix, trace, used, exponents = sequential_maximize(part, seed, 6, 30000)
+        res = maximize_ep(part, seed, 6, 30000)
+        assert fingerprint(res) == (repr(best), matrix.tobytes(), trace, used)
+        assert max(exponents) > 4
 
     @pytest.mark.parametrize("part", [P22, Bipartition(2, 4), Bipartition(3, 3)], ids=str)
     def test_groups_of_one_restart_change_nothing(self, part, monkeypatch):
