@@ -169,16 +169,20 @@ def ep_values(stack: np.ndarray, part: Bipartition) -> np.ndarray:
 
 
 #: matrix entries per sub-stack of matrices (see :func:`substack_size`); caps
-#: the working set without changing any value
-_SUBSTACK_ENTRIES = 4096
+#: the working set without changing any value.  Larger sub-stacks mean fewer,
+#: longer GIL-free calls for the threads of ``dist``; the peak RSS bounds it.
+_SUBSTACK_ENTRIES = 8192
 
 
 def substack_size(n: int) -> int:
     """Number of ``(n, n)`` matrices in one sub-stack passed to :func:`ep_values`.
 
-    Also the number of restarts in one lockstep group of
-    :func:`entpow.search.maximize_ep`, whose stack of three-step windows then
-    holds at most three times as many entries.
+    A sub-stack holds at most 8192 matrix entries.  ``dist`` draws and
+    evaluates one sub-stack at a time on each of its threads (one per CPU, up
+    to 64), so its working set is about that many sub-stacks; the values do not
+    depend on the number of CPUs.  Also the number of restarts in one lockstep
+    group of :func:`entpow.search.maximize_ep`, whose stack of three-step
+    windows then holds at most three times as many entries.
     """
     return max(1, _SUBSTACK_ENTRIES // (n * n))
 

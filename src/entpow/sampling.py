@@ -94,13 +94,18 @@ def _haar_unitary_from(rng: np.random.Generator, n: int, count: int | None = Non
 
     Each matrix takes its real then its imaginary Gaussian block from the
     stream, so a stack of ``count`` equals ``count`` successive single draws
-    bit for bit.
+    bit for bit.  The Gaussian block is freed before the QR, and the phases are
+    multiplied into ``q`` in place, to keep the working set small.
     """
     g = rng.standard_normal((2, n, n) if count is None else (count, 2, n, n))
-    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
+    z = np.empty(g.shape[:-3] + (n, n), dtype=complex)
+    z.real, z.imag = g[..., 0, :, :], g[..., 1, :, :]
+    del g
+    z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    q *= (d / np.abs(d))[..., None, :]
+    return q
 
 
 def block_sizes(n_samples: int) -> list[int]:

@@ -21,7 +21,9 @@ stopping rule and leaves the stack when it stops.  Every operation acts on
 each restart's slice alone, so the result is that of running the restarts one
 after another, bit for bit.  Restarts run in groups of
 ``substack_size(d1 d2)`` (:mod:`entpow.power`), so a group's window stack
-holds at most ``3 * 4096`` entries, which bounds memory at large ``d1 d2``.
+holds at most ``3 * 8192`` entries, which bounds memory at large ``d1 d2``.
+Both searches run on the calling thread alone; only the sampling behind
+``dist`` spreads over the CPUs, so no result here depends on their number.
 
 The discrete search runs over basis permutations.  Entangling power is
 invariant under local unitaries, and relabeling the outputs ``(a, b) ->
@@ -142,8 +144,10 @@ def maximize_ep(part: Bipartition, seed: SeedSpec, restarts: int = 16,
     (:func:`_lockstep_ascent`), in groups of ``substack_size(d1 d2)`` taken in
     restart order.  A restart's result does not depend on its group, so the
     result is that of running the restarts one after another, bit for bit.
-    From ``d1 d2 = 46`` on, a group is one restart, and memory is that of a
-    single ascent.
+    A group's window stack holds at most ``3 * 8192`` matrix entries; from
+    ``d1 d2 = 65`` on, a group is one restart, and memory is that of a single
+    ascent.  The ascent runs on the calling thread alone, so the result does
+    not depend on the number of CPUs.
     """
     if restarts < 1 or max_iters < 1:
         raise ValidationError("restarts and max_iters must be positive")

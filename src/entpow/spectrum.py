@@ -6,6 +6,9 @@ For square bipartitions the density is markedly dimension dependent: at
 on it vanishes at both ends of the allowed range and peaks in the interior.
 """
 
+import itertools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +46,11 @@ def sample_q(part: Bipartition, n_samples: int, n_bins: int, seed: SeedSpec) -> 
     bound degenerates to zero, i.e. a trivial factor).  Sampling is split over
     a fixed set of seed substreams taken in stream order, so the histogram is
     deterministic for a given seed.  Within a stream, gates are drawn and
-    evaluated in sub-stacks by :func:`ep_values`; the values equal those of a
-    one-gate-at-a-time loop bit for bit.  The call consumes streams
+    evaluated in sub-stacks of at most 8192 matrix entries by
+    :func:`ep_values`; the values equal those of a one-gate-at-a-time loop bit
+    for bit.  The streams run on the calling thread and one helper thread per
+    further CPU the process may use, at most one thread per stream; the
+    histogram does not depend on the number of CPUs.  The call consumes streams
     ``seed.stream_index`` to ``seed.stream_index + 63`` (fewer below 64
     samples); for independent histograms use distinct master seeds.
     """
@@ -67,14 +73,52 @@ def sample_q(part: Bipartition, n_samples: int, n_bins: int, seed: SeedSpec) -> 
     )
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:     # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def _haar_values(part: Bipartition, n_samples: int, seed: SeedSpec) -> np.ndarray:
-    """Entangling power of ``n_samples`` Haar-random gates, in stream order."""
+    """Entangling power of ``n_samples`` Haar-random gates, in stream order.
+
+    Block ``b`` of :func:`block_sizes` draws from ``seed.substream(b)`` alone,
+    so blocks are independent.  The calling thread and ``min(cpus, blocks) - 1``
+    helper threads take block indices in turn from one counter; the draws and
+    Gram products are LAPACK/BLAS calls that release the GIL, so the threads
+    overlap.  Blocks are concatenated in stream order, so the values do not
+    depend on the number of CPUs.  Once a block raises, no thread starts
+    another, and the first exception is re-raised after every helper is joined.
+    """
     n = part.dim
     substack = substack_size(n)
-    chunks = []
-    for b, count in enumerate(block_sizes(n_samples)):
-        rng = seed.substream(b).generator()
-        for start in range(0, count, substack):
-            chunks.append(ep_values(_haar_unitary_from(rng, n, min(substack, count - start)), part))
-    return np.concatenate(chunks)
+    sizes = block_sizes(n_samples)
+    blocks = [None] * len(sizes)
+    claims = itertools.count()    # next() on it is one C call, so the GIL makes it atomic
+    failures = []
 
+    def work():
+        try:
+            for b in claims:
+                if b >= len(sizes) or failures:
+                    return
+                rng, count = seed.substream(b).generator(), sizes[b]
+                blocks[b] = np.concatenate([
+                    ep_values(_haar_unitary_from(rng, n, min(substack, count - start)), part)
+                    for start in range(0, count, substack)])
+        except BaseException as exc:     # re-raised by the calling thread below
+            failures.append(exc)
+
+    # daemon threads, so an interrupt while joining them does not keep the process alive
+    helpers = [threading.Thread(target=work, daemon=True)
+               for _ in range(min(_cpu_count(), len(sizes)) - 1)]
+    for t in helpers:
+        t.start()
+    work()
+    for t in helpers:
+        t.join()
+    if failures:
+        raise failures[0]
+    return np.concatenate(blocks)

@@ -1,5 +1,8 @@
+import itertools
 import json
 import os
+import subprocess
+import sys
 from argparse import Namespace
 from pathlib import Path
 
@@ -145,6 +148,27 @@ class TestDist:
         code, _ = run(capsys, "replay", str(first) + ".manifest.json", "--out", str(replayed))
         assert code == EXIT_OK
         assert first.read_bytes() == replayed.read_bytes()
+
+    def test_failed_block_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        # 10 gates per block at 2x2 make one ep_values call per block; the 21st fails
+        import entpow.spectrum
+        from entpow.errors import ValidationError
+
+        calls = itertools.count()
+        real = entpow.spectrum.ep_values
+
+        def failing(stack, part):
+            if next(calls) == 20:
+                raise ValidationError("injected")
+            return real(stack, part)
+
+        monkeypatch.setattr(entpow.spectrum, "ep_values", failing)
+        monkeypatch.setattr(entpow.spectrum, "_cpu_count", lambda: 2)
+        code = main(["dist", "--d", "2", "--samples", "640", "--bins", "10",
+                     "--out", str(tmp_path / "h.csv")])
+        assert code == EXIT_VALIDATION
+        assert "injected" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_path(self, capsys):
         code = main(["dist", "--d1", "2", "--d2", "2", "--samples", "10", "--bins", "5",
@@ -551,3 +575,12 @@ class TestNoWorkerCount:
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["old.json.manifest.json"]
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    # its cold import takes about 9 ms, which every command would pay at start-up
+    code = "import sys, entpow.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.stdout.strip() == "False", done.stderr

@@ -240,9 +240,10 @@ class TestLockstep:
 
     def test_group_size_bounds_the_ladder_stack(self, monkeypatch):
         sizes = record_groups(monkeypatch)
-        # 2x4: every benchmark configuration runs as one group; 8x8: one restart per group
+        # 2x4: every benchmark configuration runs as one group; from d1 d2 = 65 on, one
+        # restart per group
         maximize_ep(Bipartition(2, 4), SeedSpec(1), 16, 2)
-        maximize_ep(Bipartition(8, 8), SeedSpec(1), 2, 1)
+        maximize_ep(Bipartition(5, 13), SeedSpec(1), 2, 1)
         assert sizes == [16, 1, 1]
 
 

@@ -1,6 +1,11 @@
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import entpow.spectrum
 from entpow import Bipartition, SeedSpec, ValidationError, haar_mean, sample_q, upper_bound
 from entpow.sampling import block_sizes
 from entpow.power import substack_size
@@ -72,7 +77,7 @@ def per_gate_values(part, n_samples, seed):
 
 
 class TestBatchedSampling:
-    @pytest.mark.parametrize("d1, d2, n_samples", [(2, 2, 64 * 300 + 5), (3, 4, 64 * 30 + 7)])
+    @pytest.mark.parametrize("d1, d2, n_samples", [(2, 2, 64 * 513 + 5), (3, 4, 64 * 57 + 7)])
     def test_values_equal_per_gate_loop(self, d1, d2, n_samples):
         part = Bipartition(d1, d2)
         substack = substack_size(part.dim)
@@ -82,6 +87,57 @@ class TestBatchedSampling:
         assert np.array_equal(_haar_values(part, n_samples, SeedSpec(77)), ref)
         h = sample_q(part, n_samples, 50, SeedSpec(77))
         assert h.empirical_mean == float(ref.mean()) and h.empirical_max == float(ref.max())
+
+    # 1, 63 and 64 samples give one-gate blocks; 64 * 3 + 5 gives blocks of 3 and 4
+    @pytest.mark.parametrize("n_samples", [1, 63, 64, 64 * 3 + 5])
+    def test_values_do_not_depend_on_the_cpu_count(self, monkeypatch, n_samples):
+        part, seed = Bipartition(2, 3), SeedSpec(78)
+        ref = per_gate_values(part, n_samples, seed)
+        blocks = len(block_sizes(n_samples))
+        real = entpow.spectrum.ep_values
+        workers = set()
+
+        def recording(stack, p):
+            workers.add(threading.get_ident())
+            return real(stack, p)
+
+        monkeypatch.setattr(entpow.spectrum, "ep_values", recording)
+        histograms = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)    # switch threads often, so a lost block would show
+        try:
+            for cpus in (1, 2, 3, 65):
+                monkeypatch.setattr(entpow.spectrum, "_cpu_count", lambda: cpus)
+                workers.clear()
+                assert np.array_equal(_haar_values(part, n_samples, seed), ref)
+                assert len(workers) <= min(cpus, blocks)
+                h = sample_q(part, n_samples, 30, seed)
+                histograms.append((h.counts.tolist(), h.empirical_mean, h.empirical_max))
+        finally:
+            sys.setswitchinterval(interval)
+        assert histograms[0][1:] == (float(ref.mean()), float(ref.max()))
+        assert all(h == histograms[0] for h in histograms)
+
+    def test_failed_block_stops_the_threads_and_is_raised(self, monkeypatch):
+        # 10 gates per block at 2x2 make one ep_values call per block
+        failure = ValidationError("injected")
+        calls = itertools.count()
+        real = entpow.spectrum.ep_values
+
+        def failing(stack, p):
+            if next(calls) == 20:
+                raise failure
+            return real(stack, p)
+
+        monkeypatch.setattr(entpow.spectrum, "ep_values", failing)
+        monkeypatch.setattr(entpow.spectrum, "_cpu_count", lambda: 3)
+        before = threading.active_count()
+        with pytest.raises(ValidationError) as exc:
+            sample_q(Bipartition(2, 2), 64 * 10, 10, SeedSpec(79))
+        assert exc.value is failure
+        assert threading.active_count() == before
+        # the 21st call fails; each of the two other threads finishes at most the block it holds
+        assert next(calls) <= 23
 
 
 class TestExactTwoQubitReference:
