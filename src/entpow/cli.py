@@ -13,7 +13,8 @@ Every output file gets a sibling ``<file>.manifest.json`` recording command,
 bipartition, seed, parameters, and the full command line (``argv``, defaults
 included); both are moved into place only once both are written.  Replay runs
 that ``argv`` again and reproduces the output bit for bit.  Exit codes: 0
-success, 2 validation error, 3 I/O error, 4 resource cap exceeded.
+success, 2 validation error, 3 I/O error, 4 resource cap exceeded or memory
+exhausted.
 """
 
 import argparse
@@ -342,8 +343,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -142,6 +142,16 @@ def save_gate(gate: UnitaryGate, path) -> None:
     Path(path).write_text(json.dumps(payload))
 
 
+def _complex_entry(entry, row: int, column: int) -> complex:
+    """One ``[re, im]`` entry of a gate file; anything but a list of two JSON numbers is refused."""
+    # exact types: json reads numbers as int or float, so a bool (an int subclass) is refused
+    if (type(entry) is not list or len(entry) != 2
+            or any(type(x) not in (int, float) for x in entry)):
+        raise ValueError(f"matrix entry at row {row}, column {column} must be [re, im] "
+                         f"with two numbers, got {json.dumps(entry)}")
+    return complex(*entry)
+
+
 def load_gate(path) -> UnitaryGate:
     """Read a gate from the JSON matrix format written by :func:`save_gate`."""
     try:
@@ -159,8 +169,8 @@ def load_gate(path) -> UnitaryGate:
             raise ResourceLimitError(
                 f"gate file {path} declares d1*d2 = {part.dim}, above the cap of {DEFAULT_DIM_CAP}"
             )
-        rows = payload["matrix"]
-        m = np.array([[complex(entry[0], entry[1]) for entry in row] for row in rows])
+        m = np.array([[_complex_entry(entry, i, j) for j, entry in enumerate(row)]
+                      for i, row in enumerate(payload["matrix"])])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"gate file {path} is malformed: {exc}") from exc
     return UnitaryGate(m, part)

@@ -190,8 +190,9 @@ def substack_size(n: int) -> int:
 def ep_value(matrix: np.ndarray, part: Bipartition) -> float:
     """Closed-form entangling power of one (unvalidated) unitary matrix.
 
-    The ``N = 1`` case of :func:`ep_values`, bit for bit; used by optimization
-    loops.  :func:`ep_closed` adds validation and a full report.
+    The ``N = 1`` case of :func:`ep_values`, bit for bit; the identity checks
+    of :mod:`entpow.selfcheck` and the benchmark's kernel timings call it.
+    :func:`ep_closed` adds validation and a full report.
     """
     return float(ep_values(matrix, part)[0])
 
@@ -292,10 +293,14 @@ def ep_on_states(gate: UnitaryGate, states: list[tuple[np.ndarray, np.ndarray]])
 
     Supports arbitrary user-chosen input distributions, e.g. one supported on
     computational basis states only.  Each factor state may be flat or a
-    column; each product ``|psi1| |psi2|`` must be 1 to within 1e-10.
+    column; each product ``|psi1| |psi2|`` must be 1 to within 1e-10.  Each
+    entry of ``states`` is a tuple or list of the two factor states.
     """
     if not states:
         raise ValidationError("states list is empty")
+    for k, pair in enumerate(states):
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise ValidationError(f"states[{k}] is not a (first, second) pair of factor states")
     part = gate.part
     first, second = zip(*states)
     p1 = _factor_states(first, part.d1, "first")

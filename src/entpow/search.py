@@ -4,26 +4,30 @@ The continuous search is Riemannian steepest ascent on U(n) (Abrudan,
 Eriksson & Koivunen, IEEE TSP 56(3), 2008).  The closed form is quartic in
 ``U``, so its Euclidean gradient ``G`` is exact; the ascent direction is the
 skew-Hermitian ``Omega = G U^dag - U G^dag`` and the update is
-``U <- exp(eta Omega) U``.  Each restart tries a window of three steps,
-``eta = 2^(c+1), 2^c, 2^(c-1)``, all from one ``eigh`` of ``-i Omega`` and
-evaluated in one stacked call.  Only strict improvements are accepted.  As in
-Abrudan et al.'s Armijo rule, the step adapts by powers of two: ``c`` starts
-at 0 and moves to the exponent of each accepted step, with no upper cap, and
-drops by 3 when no step in the window improves.  Restarts use independent
-seed substreams, so results are deterministic and adding restarts can only
-improve the best value.
+``U <- exp(eta Omega) U``.
 
-Restarts advance in lockstep: each iteration takes one stacked gradient, one
-batched ``eigh`` and one window evaluation for all restarts still running, and
-the gradient at an accepted candidate is read off the Gram matrices its window
-evaluation already formed.  Each restart keeps its own step, acceptance and
-stopping rule and leaves the stack when it stops.  Every operation acts on
-each restart's slice alone, so the result is that of running the restarts one
-after another, bit for bit.  Restarts run in groups of
-``substack_size(d1 d2)`` (:mod:`entpow.power`), so a group's window stack
-holds at most ``3 * 8192`` entries, which bounds memory at large ``d1 d2``.
-Both searches run on the calling thread alone; only the sampling behind
-``dist`` spreads over the CPUs, so no result here depends on their number.
+Window: each iteration of a restart tries the three steps ``eta = 2^(c+1),
+2^c, 2^(c-1)``, all from one ``eigh`` of ``-i Omega`` and evaluated in one
+stacked call, and accepts the best of them only if it strictly improves.  As
+in Abrudan et al.'s Armijo rule, the step adapts by powers of two: ``c``
+starts at 0 and moves to the exponent of each accepted step, with no upper
+cap.  When no step in the window improves, ``c`` drops by 3 and the restart
+keeps its matrix and its gradient.
+
+Stop: a restart stops when an accepted gain is at most ``ASCENT_TOLERANCE``,
+when its next window would try a step below ``2^MIN_STEP_EXPONENT``, when
+``Omega`` is exactly 0, or after ``max_iters`` windows.
+
+Groups: restart ``r`` starts from seed substream ``r``.  Restarts advance in
+lockstep, in groups of ``substack_size(d1 d2)`` (:mod:`entpow.power`) taken
+in restart order, so a group's window stack holds at most ``3 * 8192``
+entries; from ``d1 d2 = 65`` on, a group is one restart.  Each iteration takes
+one batched ``eigh`` and one window evaluation for the group's running
+restarts, and a gradient is taken only at each start and each accepted step.
+Every operation acts on each restart's slice alone, so the result is that of
+running the restarts one after another, bit for bit: it depends neither on the
+grouping nor, since both searches run on the calling thread alone, on the
+number of CPUs.  Adding restarts can only improve the best value.
 
 The discrete search runs over basis permutations.  Entangling power is
 invariant under local unitaries, and relabeling the outputs ``(a, b) ->
@@ -69,30 +73,23 @@ class OptimizeResult:
 
 
 def _lockstep_ascent(part: Bipartition, starts: np.ndarray, max_iters: int):
-    """Lockstep ascent from a ``(k, n, n)`` stack of starts (see the module docstring).
+    """Ascend each matrix of a ``(k, n, n)`` stack of starts, all in lockstep.
 
     Returns each restart's final matrix, local improvement trace and iteration
-    count.  Iteration 0 is the start; each later iteration evaluates one
-    window of steps ``2^(c+1), 2^c, 2^(c-1)``.  A restart accepts the window's
-    best candidate only if it improves, and ``c`` moves to that step's
-    exponent; if none improves, ``c`` drops by 3.  A restart stops when an
-    accepted gain is at most ``ASCENT_TOLERANCE``, when its next window would
-    try a step below ``2^MIN_STEP_EXPONENT``, when ``Omega`` is exactly 0, or
-    after ``max_iters`` windows.  The last trace entry holds the returned
-    matrix's value.
+    count.  A trace starts with ``(0, value of the start)`` and holds
+    ``(iteration, value)`` for every accepted step, so its last entry is the
+    final matrix's value; the count is the start plus the windows evaluated.
     """
     k, n = len(starts), part.dim
     i0, i1, grams = _i0_i1(starts, part)
     values = _closed_form(i0, i1, part)
     traces = [[(0, v)] for v in values.tolist()]
-    # each restart's current matrix and Gram stacks, replaced when it accepts a step;
-    # copies, because the Gram stacks of a trivial factor are views of the starts
-    state = tuple(np.array(s) for s in (starts, *grams))
-    log = []    # (iteration, restarts running, their windows' best values, which accepted)
+    matrices, gradients = starts.copy(), _gradients(*grams, part)
+    iterations = np.zeros(k, dtype=int)
     running, centre = np.arange(k), np.zeros(k, dtype=int)
     for steps in range(1, max_iters + 1):
-        u, *grams = (s[running] for s in state)
-        gu = _gradients(*grams, part) @ u.conj().transpose(0, 2, 1)
+        u = matrices[running]
+        gu = gradients[running] @ u.conj().transpose(0, 2, 1)
         omega = gu - gu.conj().transpose(0, 2, 1)
         # exp(eta Omega) = v diag(exp(i eta w)) v^dag for the eigenpairs (w, v) of -i Omega
         w, v = np.linalg.eigh(-1j * omega)
@@ -100,16 +97,20 @@ def _lockstep_ascent(part: Bipartition, starts: np.ndarray, max_iters: int):
         phases = np.exp(1j * ((2.0 ** exponents)[:, :, None] * w[:, None, :]))
         rotations = v[:, None] * phases[:, :, None, :]
         candidates = (rotations @ (v.conj().transpose(0, 2, 1) @ u)[:, None]).reshape(-1, n, n)
+        # rebinding frees the last window only once this one is formed, so the allocator
+        # reuses its memory rather than returning it and faulting it back every iteration
         i0, i1, window = _i0_i1(candidates, part)
         window_values = _closed_form(i0, i1, part).reshape(len(running), len(_WINDOW))
         picked = np.arange(len(running)) * len(_WINDOW) + window_values.argmax(axis=1)
         top = window_values.ravel()[picked]
         gain = top - values
         accepted = gain > 0     # no step improves (a NaN counts as none)
-        log.append((steps, running, top, accepted))
         won, source = running[accepted], picked[accepted]
-        for s, new in zip(state, (candidates, *window)):
-            s[won] = new[source]
+        matrices[won] = candidates[source]
+        gradients[won] = _gradients(*(g[source] for g in window), part)
+        for r, value in zip(won.tolist(), top[accepted].tolist()):
+            traces[r].append((steps, value))
+        iterations[running] = steps + 1
         centre = np.where(accepted, exponents.ravel()[picked], centre - 3)
         going = (np.where(accepted, gain > ASCENT_TOLERANCE, omega.any(axis=(1, 2)))
                  & (centre - 1 >= MIN_STEP_EXPONENT))
@@ -117,13 +118,7 @@ def _lockstep_ascent(part: Bipartition, starts: np.ndarray, max_iters: int):
         running, centre, values = running[going], centre[going], values[going]
         if not len(running):
             break
-        del candidates, window   # one window's stacks alive at a time
-    iterations = np.zeros(k, dtype=int)
-    for steps, restarts, tops, accepted in log:
-        iterations[restarts] = steps + 1
-        for r, top in zip(restarts[accepted].tolist(), tops[accepted].tolist()):
-            traces[r].append((steps, top))
-    return state[0], traces, iterations.tolist()
+    return matrices, traces, iterations.tolist()
 
 
 def maximize_ep(part: Bipartition, seed: SeedSpec, restarts: int = 16,
@@ -133,21 +128,12 @@ def maximize_ep(part: Bipartition, seed: SeedSpec, restarts: int = 16,
     Deterministic for given arguments: restart ``r`` draws from seed substream
     ``r``, so a run consumes streams ``seed.stream_index`` to
     ``seed.stream_index + restarts - 1`` (for independent runs use distinct
-    master seeds).  The best gate is that of the first restart to reach the
-    maximum, and the trace records every new best at its global iteration.
-    Every evaluated candidate is a valid unitary, so the best value respects
-    the analytic upper bound.  The defaults handle dimensions up to 4x4 well.
-
-    Each iteration of a restart evaluates one window of three step sizes (see
-    the module docstring), whether or not a step in it improves; ``max_iters``
-    caps the windows of each restart.  Restarts advance in lockstep
-    (:func:`_lockstep_ascent`), in groups of ``substack_size(d1 d2)`` taken in
-    restart order.  A restart's result does not depend on its group, so the
-    result is that of running the restarts one after another, bit for bit.
-    A group's window stack holds at most ``3 * 8192`` matrix entries; from
-    ``d1 d2 = 65`` on, a group is one restart, and memory is that of a single
-    ascent.  The ascent runs on the calling thread alone, so the result does
-    not depend on the number of CPUs.
+    master seeds).  ``max_iters`` caps the windows of each restart; the
+    window, stop and group rules are in the module docstring.  The best gate
+    is that of the first restart to reach the maximum, and the trace records
+    every new best at its global iteration.  Every evaluated candidate is a
+    valid unitary, so the best value respects the analytic upper bound.  The
+    defaults handle dimensions up to 4x4 well.
     """
     if restarts < 1 or max_iters < 1:
         raise ValidationError("restarts and max_iters must be positive")

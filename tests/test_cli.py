@@ -79,6 +79,18 @@ class TestEval:
         assert main(["eval", "--file", str(path)]) == EXIT_VALIDATION
         assert "d1 must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [[True, False], [0, 0, 99]], ids=json.dumps)
+    def test_malformed_entry_in_gate_file(self, capsys, tmp_path, bad):
+        path = tmp_path / "eye.json"
+        eye = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+        eye[0][3] = bad
+        path.write_text(json.dumps({"d1": 2, "d2": 2, "matrix": eye}))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["eval", "--file", str(path), "--out", str(out / "r.json")]) == EXIT_VALIDATION
+        assert "matrix entry at row 0, column 3" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_additive_perm_even_d(self, capsys):
         code = main(["eval", "--gate", "additive-perm", "--d", "4"])
         assert code == EXIT_VALIDATION
@@ -530,6 +542,21 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_self_checks",
                             lambda extra_gate=None: (_ for _ in ()).throw(ResourceLimitError("cap")))
         assert cli.main(["verify"]) == EXIT_RESOURCE
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 22.4 GiB"), "error: Unable to allocate 22.4 GiB\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ])
+    def test_memory_error_exit(self, monkeypatch, capsys, tmp_path, exc, message):
+        def exhausted(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "sample_q", exhausted)
+        code = main(["dist", "--d", "2", "--samples", "10", "--bins", "3000000000",
+                     "--out", str(tmp_path / "h.csv")])
+        assert code == EXIT_RESOURCE
+        assert capsys.readouterr().err == message
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNoWorkerCount:

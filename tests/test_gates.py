@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -201,6 +202,21 @@ class TestGateFiles:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"d1": 2, "matrix": []}))
         with pytest.raises(ValidationError, match="malformed"):
+            load_gate(path)
+
+    @pytest.mark.parametrize("bad", [[True, False], [0, 0, 99], [1], [], [1, "0"], [1, None],
+                                     [[1], 0], "1", 1.0, None, {"re": 1, "im": 0}],
+                             ids=json.dumps)
+    def test_entry_must_be_two_numbers(self, tmp_path, bad):
+        # each bad entry stands where the 4x4 identity has a 0: read by its first two
+        # numbers, [0, 0, 99] would load the identity
+        eye = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+        eye[2][1] = bad
+        path = tmp_path / "eye.json"
+        path.write_text(json.dumps({"d1": 2, "d2": 2, "matrix": eye}))
+        with pytest.raises(ValidationError, match=r"malformed: matrix entry at row 2, column 1 "
+                                                  r"must be \[re, im\] with two numbers, got "
+                                                  + re.escape(json.dumps(bad))):
             load_gate(path)
 
     def test_non_unitary_content(self, tmp_path):

@@ -269,6 +269,13 @@ class TestOnStates:
         per_pair = [linear_entropy(g.matrix @ kron(a.reshape(-1, 1), b), part) for a, b in pairs]
         assert abs(ep_on_states(g, pairs) - np.mean(per_pair)) < 1e-12
 
+    @pytest.mark.parametrize("entry", [(ket(1, 0), ket(1, 1), ket(0, 1)), (ket(1, 0),),
+                                       ket(1, 0), "ab"], ids=["triple", "single", "array", "str"])
+    def test_rejects_entries_that_are_not_pairs(self, entry):
+        good = (ket(1, 0), ket(1, 1))
+        with pytest.raises(ValidationError, match=r"states\[1\] is not a \(first, second\) pair"):
+            ep_on_states(make_cnot(), [good, entry, good])
+
     def test_rejects_bad_pairs(self):
         g = make_cnot()
         good = (ket(1, 0), ket(1, 1))

@@ -246,6 +246,29 @@ class TestLockstep:
         maximize_ep(Bipartition(5, 13), SeedSpec(1), 2, 1)
         assert sizes == [16, 1, 1]
 
+    def test_gradients_only_at_starts_and_accepted_steps(self, monkeypatch):
+        # a restart keeps its gradient through a failed window, so per group the gradient
+        # rows are one per start plus one per accepted step: the entries of the local traces
+        rows, entries = [], []
+        real_gradients, real_ascent = entpow.search._gradients, entpow.search._lockstep_ascent
+
+        def counting(a0, *stacks):
+            rows[-1] += len(a0)
+            return real_gradients(a0, *stacks)
+
+        def per_group(part, starts, max_iters):
+            rows.append(0)
+            result = real_ascent(part, starts, max_iters)
+            entries.append(sum(map(len, result[1])))
+            return result
+
+        monkeypatch.setattr(entpow.search, "_gradients", counting)
+        monkeypatch.setattr(entpow.search, "_lockstep_ascent", per_group)
+        monkeypatch.setattr(entpow.power, "_SUBSTACK_ENTRIES", 2 * 16)   # 2x2: two per group
+        res = maximize_ep(P22, SeedSpec(18), restarts=5, max_iters=300)
+        assert rows == entries and len(rows) == 3
+        assert sum(entries) < res.iterations_used   # some window improved nothing
+
 
 SHAPES_UP_TO_8 = [Bipartition(d1, d2) for d1 in range(1, 9) for d2 in range(1, 9) if d1 * d2 <= 8]
 SHAPES_UP_TO_10 = [Bipartition(d1, d2) for d1 in range(1, 11) for d2 in range(1, 11)
