@@ -20,6 +20,7 @@ exhausted.
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -50,19 +51,17 @@ REPLAYABLE = ("eval", "mc", "dist", "optimize")
 
 
 def _dims_from_args(args, square: bool = False) -> tuple[int, int]:
-    """Factor dimensions from ``--d`` or ``--d1/--d2``; ``d1*d2 > DEFAULT_DIM_CAP`` is refused."""
+    """Factor dimensions from ``--d`` or ``--d1/--d2``, equal ones if ``square``.
+
+    ``d1*d2 > DEFAULT_DIM_CAP`` is refused.
+    """
     if args.d is not None and (args.d1 is not None or args.d2 is not None):
         raise ValidationError("give --d or --d1/--d2, not both")
-    if args.d is not None:
-        d1 = d2 = args.d
-    elif square:
-        if args.d1 is None or args.d1 != args.d2:
-            raise ValidationError("this gate needs --d (or equal --d1/--d2)")
-        d1 = d2 = args.d1
-    elif args.d1 is None or args.d2 is None:
+    d1, d2 = (args.d, args.d) if args.d is not None else (args.d1, args.d2)
+    if d1 is None or d2 is None:
         raise ValidationError("this gate needs --d or both --d1 and --d2")
-    else:
-        d1, d2 = args.d1, args.d2
+    if square and d1 != d2:
+        raise ValidationError("this gate needs --d (or equal --d1/--d2)")
     # dimensions below 1 are left to the constructors, which name them in their own errors
     if d1 >= 1 and d2 >= 1 and d1 * d2 > DEFAULT_DIM_CAP:
         raise ResourceLimitError(f"d1*d2 = {d1 * d2} exceeds the cap of {DEFAULT_DIM_CAP}")
@@ -104,7 +103,7 @@ def _json_writer(payload):
     return lambda path: path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _write_outputs(args, part: Bipartition, started: float, write) -> None:
+def _write_outputs(args, part: Bipartition, write) -> None:
     """Write ``args.out`` by ``write(path)`` and its sibling ``<out>.manifest.json``, atomically.
 
     Both are written to temporary files next to their targets; only when both
@@ -116,9 +115,10 @@ def _write_outputs(args, part: Bipartition, started: float, write) -> None:
     replaying it re-runs the same command.
     ``seed`` is the master seed (``null`` for a command that does not sample),
     and ``parameters`` holds the other options except, for commands without a
-    gate, the dimensions, recorded under ``part``.
+    gate, the dimensions, recorded under ``part``.  ``wall_time`` runs from
+    ``args.started``, stamped by :func:`main` once the arguments are parsed.
     """
-    options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func", "started")}
     argv = [args.command]
     for key, value in options.items():
         if value is not None:
@@ -131,7 +131,7 @@ def _write_outputs(args, part: Bipartition, started: float, write) -> None:
         "parameters": {k: v for k, v in options.items() if k not in recorded_elsewhere},
         "argv": argv,
         "tool_version": __version__,
-        "wall_time": time.perf_counter() - started,
+        "wall_time": time.perf_counter() - args.started,
     }
     targets = [Path(args.out), Path(args.out + ".manifest.json")]
     temps = [t.with_name(f".{t.name}.{os.getpid()}.tmp") for t in targets]
@@ -179,17 +179,15 @@ def _print_report(gate: UnitaryGate, report) -> None:
 
 
 def cmd_eval(args) -> int:
-    started = time.perf_counter()
     gate = _gate_from_args(args)
     report = ep_dense_oracle(gate) if args.method == "oracle" else ep_closed(gate)
     _print_report(gate, report)
     if args.out:
-        _write_outputs(args, gate.part, started, _json_writer(dataclasses.asdict(report)))
+        _write_outputs(args, gate.part, _json_writer(dataclasses.asdict(report)))
     return EXIT_OK
 
 
 def cmd_mc(args) -> int:
-    started = time.perf_counter()
     gate = _gate_from_args(args)
     mc = ep_monte_carlo(gate, args.samples, SeedSpec(args.seed))
     closed = ep_closed(gate)
@@ -200,12 +198,11 @@ def cmd_mc(args) -> int:
     print(f"|difference|  = {abs(mc.value - closed.value):.3e}  ({sigma:.2f} stderr)")
     if args.out:
         payload = {"monte_carlo": dataclasses.asdict(mc), "closed_form": dataclasses.asdict(closed)}
-        _write_outputs(args, gate.part, started, _json_writer(payload))
+        _write_outputs(args, gate.part, _json_writer(payload))
     return EXIT_OK
 
 
 def cmd_dist(args) -> int:
-    started = time.perf_counter()
     part = Bipartition(*_dims_from_args(args))
     hist = sample_q(part, args.samples, args.bins, SeedSpec(args.seed))
 
@@ -218,7 +215,7 @@ def cmd_dist(args) -> int:
                 writer.writerow([f"{hist.bin_edges[i]:.12g}", f"{hist.bin_edges[i + 1]:.12g}",
                                  int(hist.counts[i]), f"{densities[i]:.12g}"])
 
-    _write_outputs(args, part, started, write_csv)
+    _write_outputs(args, part, write_csv)
     print(f"wrote {args.out} ({args.bins} bins, {args.samples} samples)")
     print(f"empirical_mean = {hist.empirical_mean:.6f}  (haar mean {haar_mean(part):.6f})")
     print(f"empirical_max  = {hist.empirical_max:.6f}  (upper bound {upper_bound(part):.6f})")
@@ -226,7 +223,6 @@ def cmd_dist(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    started = time.perf_counter()
     part = Bipartition(*_dims_from_args(args))
     result = maximize_ep(part, SeedSpec(args.seed), args.restarts, args.iters)
     print(f"bipartition   : {part}")
@@ -235,7 +231,7 @@ def cmd_optimize(args) -> int:
     print(f"gap_to_bound  = {result.gap_to_bound:.3e}")
     print(f"iterations    = {result.iterations_used}")
     if args.out:
-        _write_outputs(args, part, started, lambda path: save_gate(result.best_gate, path))
+        _write_outputs(args, part, lambda path: save_gate(result.best_gate, path))
         print(f"wrote best gate to {args.out}")
     return EXIT_OK
 
@@ -275,20 +271,23 @@ def cmd_replay(args) -> int:
     return main(argv + (["--out", args.out] if args.out else []))
 
 
-def _add_dim_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d", type=int, help="both factor dimensions (square bipartition)")
-    p.add_argument("--d1", type=int, help="first factor dimension")
-    p.add_argument("--d2", type=int, help="second factor dimension")
-
-
-def _add_gate_args(p: argparse.ArgumentParser) -> None:
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--gate", choices=list(GATES), help="named gate family")
-    source.add_argument("--file", help="gate file in the JSON matrix format")
-    _add_dim_args(p)
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``entpow`` parser, built once per process.
+
+    The options several commands share are declared once, on three parent
+    parsers (gate source, dimensions, ``--seed``) that each command takes in
+    that order, ahead of its own options.
+    """
+    source, dims, seed = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    gate = source.add_mutually_exclusive_group()
+    gate.add_argument("--gate", choices=list(GATES), help="named gate family")
+    gate.add_argument("--file", help="gate file in the JSON matrix format")
+    dims.add_argument("--d", type=int, help="both factor dimensions (square bipartition)")
+    dims.add_argument("--d1", type=int, help="first factor dimension")
+    dims.add_argument("--d2", type=int, help="second factor dimension")
+    seed.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
+
     parser = argparse.ArgumentParser(
         prog="entpow",
         description="Entangling power of bipartite unitary gates: evaluate, bound, sample, maximize.",
@@ -296,31 +295,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"entpow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="closed-form entangling power of one gate")
-    _add_gate_args(p)
+    p = sub.add_parser("eval", help="closed-form entangling power of one gate", parents=[source, dims])
     p.add_argument("--method", choices=["closed", "oracle"], default="closed",
                    help="evaluation route (dense oracle is capped at d1*d2 <= 36)")
     p.add_argument("--out", help="also write the report as JSON")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("mc", help="Monte Carlo estimate vs the closed form")
-    _add_gate_args(p)
-    p.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
+    p = sub.add_parser("mc", help="Monte Carlo estimate vs the closed form",
+                       parents=[source, dims, seed])
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--out", help="also write both reports as JSON")
     p.set_defaults(func=cmd_mc)
 
-    p = sub.add_parser("dist", help="histogram of entangling power over Haar gates")
-    _add_dim_args(p)
-    p.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
+    p = sub.add_parser("dist", help="histogram of entangling power over Haar gates",
+                       parents=[dims, seed])
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--bins", type=int, default=100)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("optimize", help="maximize entangling power by gradient ascent on U(n)")
-    _add_dim_args(p)
-    p.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
+    p = sub.add_parser("optimize", help="maximize entangling power by gradient ascent on U(n)",
+                       parents=[dims, seed])
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--iters", type=int, default=4000)
     p.add_argument("--out", help="write the best gate in the JSON matrix format")
@@ -339,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return args.func(args)
     except (ResourceLimitError, MemoryError) as exc:

@@ -24,25 +24,17 @@ HS_ORTHO_ATOL = 1e-8
 
 def make_identity(part: Bipartition) -> UnitaryGate:
     """The identity gate on the given bipartition."""
-    return UnitaryGate(np.eye(part.dim, dtype=complex), part)
+    return make_basis_permutation(part, range(part.dim))
 
 
 def make_swap(d: int) -> UnitaryGate:
     """The gate exchanging the two factors of a ``d x d`` system."""
-    if d < 1:
-        raise DimensionError(f"swap dimension must be >= 1, got {d}")
-    idx = np.arange(d * d).reshape(d, d)
-    return UnitaryGate(permutation_matrix(idx.T.ravel()), Bipartition(d, d))
+    return make_basis_permutation(Bipartition(d, d), np.arange(d * d).reshape(d, d).T.ravel())
 
 
 def make_cnot() -> UnitaryGate:
     """Controlled-NOT on two qubits, first factor controlling the second."""
-    m = np.array(
-        [[1, 0, 0, 0],
-         [0, 1, 0, 0],
-         [0, 0, 0, 1],
-         [0, 0, 1, 0]], dtype=complex)
-    return UnitaryGate(m, Bipartition(2, 2))
+    return make_basis_permutation(Bipartition(2, 2), [0, 1, 3, 2])
 
 
 def clock_matrix(d: int) -> np.ndarray:

@@ -32,13 +32,17 @@ DENSE_ORACLE_MAX_DIM = 36
 
 @dataclass(frozen=True, eq=False)
 class UnitaryGate:
-    """A validated unitary together with the bipartition it acts on."""
+    """A validated unitary together with the bipartition it acts on.
+
+    The gate keeps its own read-only complex copy of ``matrix``: the caller's
+    array stays writable, and writing to it does not change the gate.
+    """
 
     matrix: np.ndarray
     part: Bipartition
 
     def __post_init__(self):
-        m = ensure_finite(self.matrix, "gate matrix")
+        m = ensure_finite(np.array(self.matrix, dtype=complex), "gate matrix")
         n = self.part.dim
         if m.shape != (n, n):
             raise DimensionError(

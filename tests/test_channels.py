@@ -69,8 +69,18 @@ class TestKrausExtraction:
     def test_rejects_bad_fixed_state(self):
         with pytest.raises(ValidationError):
             kraus_from_unitary(make_cnot(), np.array([1.0, 1.0]))
+
+    def test_completeness_defect_is_refused(self):
+        # gate and state each pass their own 1e-10 check, but the family's defect
+        # |1 + 4.9e-11|^4 - 1 does not pass the completeness check
+        s = 1 + 4.9e-11
+        gate = UnitaryGate(s * np.eye(4), P22)
+        with pytest.raises(ValidationError, match=r"Kraus completeness defect 1\.960e-10 exceeds"):
+            kraus_from_unitary(gate, s * np.array([1.0, 0.0]))
         with pytest.raises(DimensionError):
             kraus_from_unitary(make_cnot(), ket(1, 0, 0))
+        with pytest.raises(ValidationError, match="fixed state is not normalized"):
+            kraus_from_unitary(make_cnot(), (1 + 1e-8) * np.array([1.0, 0.0]))
 
 
 class TestPartialEp:

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import os
@@ -473,6 +474,18 @@ class TestConflictingOptions:
         assert "fixes the dimensions" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["id3.json"]
 
+    @pytest.mark.parametrize("dims, message", [
+        ([], "this gate needs --d or both --d1 and --d2"),
+        (["--d1", "3"], "this gate needs --d or both --d1 and --d2"),
+        (["--d2", "3"], "this gate needs --d or both --d1 and --d2"),
+        (["--d1", "2", "--d2", "3"], "this gate needs --d (or equal --d1/--d2)"),
+    ], ids=["none", "d1-only", "d2-only", "unequal"])
+    def test_square_gate_needs_equal_dimensions(self, capsys, tmp_path, dims, message):
+        code = main(["eval", "--gate", "swap", *dims, "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestReplayInput:
     @pytest.mark.parametrize("content,message", [
@@ -611,3 +624,20 @@ def test_import_leaves_concurrent_futures_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=60)
     assert done.stdout.strip() == "False", done.stderr
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["eval", "--gate", "cnot", "--out", str(out)]) == EXIT_OK
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["eval", "--gate", "cnot"]) == EXIT_OK
+    assert main(["replay", f"{out}.manifest.json"]) == EXIT_OK
+    assert built == []
+    assert cli.build_parser() is cli.build_parser()

@@ -62,6 +62,10 @@ class TestControlledFamily:
     def test_rejects_non_orthogonal_family(self):
         with pytest.raises(ValidationError, match="orthogonal"):
             make_controlled_family(2, [np.eye(2), np.eye(2)])
+        # |<1, diag(e^it, -e^-it)>| = 2 sin(t), above the 1e-8 tolerance at t = 1e-6
+        t = 1e-6
+        with pytest.raises(ValidationError, match=r"\|<U_0, U_1>\| = 2\.000e-06"):
+            make_controlled_family(2, [np.eye(2), np.diag([np.exp(1j * t), -np.exp(-1j * t)])])
 
     def test_rejects_wrong_count(self):
         with pytest.raises(ValidationError):
@@ -149,6 +153,24 @@ class TestSimpleConstructors:
 
     def test_identity(self):
         assert_allclose(make_identity(Bipartition(2, 4)).matrix, np.eye(8))
+
+    def test_named_permutations_exactly(self):
+        cnot = np.eye(4)[[0, 1, 3, 2]]
+        swap3 = np.zeros((9, 9))
+        for i in range(3):
+            for j in range(3):
+                swap3[3 * j + i, 3 * i + j] = 1
+        for gate, part, expected in [(make_cnot(), Bipartition(2, 2), cnot),
+                                     (make_swap(3), Bipartition(3, 3), swap3),
+                                     (make_identity(Bipartition(2, 3)), Bipartition(2, 3), np.eye(6))]:
+            assert gate.part == part
+            assert gate.matrix.dtype == complex
+            assert np.array_equal(gate.matrix, expected)
+
+    @pytest.mark.parametrize("d", [0, -1, 2.0])
+    def test_swap_rejects_bad_dimension(self, d):
+        with pytest.raises(DimensionError):
+            make_swap(d)
 
 
 class TestGateFiles:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+
+import entpow.power
 from numpy.testing import assert_allclose
 
 from entpow.power import _gradients, _i0_i1
@@ -30,6 +32,11 @@ class TestUnitaryGate:
         with pytest.raises(DimensionError):
             UnitaryGate(np.eye(5), P22)
 
+    def test_unitarity_tolerance_is_1e_10(self):
+        with pytest.raises(ValidationError, match=r"\|U\^dag U - 1\| = 2\.000e-08"):
+            UnitaryGate((1 + 1e-8) * np.eye(4), P22)
+        UnitaryGate((1 + 1e-12) * np.eye(4), P22)
+
     def test_rejects_non_finite(self):
         m = np.eye(4, dtype=complex)
         m[0, 0] = np.nan
@@ -40,6 +47,16 @@ class TestUnitaryGate:
         g = make_cnot()
         with pytest.raises(ValueError):
             g.matrix[0, 0] = 0
+
+    def test_keeps_its_own_copy(self):
+        m = np.eye(4, dtype=complex)
+        g = UnitaryGate(m, P22)
+        m[0, 0] = 5     # the caller's array stays writable, and writing it leaves the gate alone
+        assert g.matrix[0, 0] == 1
+        base = np.array(make_cnot().matrix)
+        g = UnitaryGate(base[:], P22)
+        base[0, 0] = 5
+        assert ep_closed(g).value == ep_closed(make_cnot()).value
 
 
 class TestLinearEntropy:
@@ -59,6 +76,8 @@ class TestLinearEntropy:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError, match="not normalized"):
             linear_entropy(np.array([1.0, 1.0, 0, 0]), P22)
+        with pytest.raises(ValidationError, match=r"\|norm - 1\| = 1\.000e-08"):
+            linear_entropy((1 + 1e-8) * np.array([1.0, 0, 0, 0]), P22)
 
     def test_flat_and_column_shapes(self):
         psi = haar_unitary(6, SeedSpec(32))[:, 0]
@@ -203,6 +222,12 @@ class TestDenseOracle:
             assert abs(a.i0 - b.i0) < 1e-7
             assert abs(a.i1 - b.i1) < 1e-7
 
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(entpow.power, "DENSE_ORACLE_MAX_DIM", 4)
+        assert abs(ep_dense_oracle(make_cnot()).value - 2 / 9) < 1e-12
+        with pytest.raises(ResourceLimitError, match=r"d1\*d2 <= 4, got 6"):
+            ep_dense_oracle(make_identity(Bipartition(2, 3)))
+
     def test_dimension_cap(self):
         part = Bipartition(6, 7)
         with pytest.raises(ResourceLimitError, match=r"dense oracle supports d1\*d2 <= 36, got 42"):
@@ -229,6 +254,17 @@ class TestMonteCarlo:
         a = ep_monte_carlo(g, 3000, SeedSpec(12))
         b = ep_monte_carlo(g, 3000, SeedSpec(12))
         assert a.value == b.value
+
+    def test_stderr_of_two_samples(self):
+        # one sample per stream block; the sample standard deviation (ddof=1) of two values
+        # is |v0 - v1| / sqrt(2), so the standard error of their mean is |v0 - v1| / 2
+        g, seed = haar_gate(Bipartition(2, 3), SeedSpec(13)), SeedSpec(14)
+        v0, v1 = (linear_entropy(g.matrix @ kron(p1.reshape(-1, 1), p2.reshape(-1, 1)), g.part)
+                  for p1, p2 in (product_state_block(g.part, seed.substream(b), 1) for b in (0, 1)))
+        r = ep_monte_carlo(g, 2, seed)
+        assert abs(v0 - v1) > 0.01
+        assert r.value == pytest.approx((v0 + v1) / 2, abs=1e-14)
+        assert r.mc_stderr == pytest.approx(abs(v0 - v1) / 2, rel=1e-12)
 
     def test_rejects_no_samples(self):
         with pytest.raises(ValidationError):
@@ -289,6 +325,12 @@ class TestOnStates:
             ep_on_states(g, [good, (np.array([np.nan, 1.0]), ket(1, 1))])
         with pytest.raises(ValidationError, match="not normalized"):
             ep_on_states(g, [good, (ket(1, 0), np.array([1.0, 1.0]))])
+
+    def test_normalization_tolerance_is_1e_10(self):
+        good = (ket(1, 0), ket(1, 1))
+        with pytest.raises(ValidationError, match=r"\|norm - 1\| = 1\.000e-08"):
+            ep_on_states(make_cnot(), [good, (ket(1, 0), (1 + 1e-8) * ket(1, 1))])
+        assert abs(ep_on_states(make_cnot(), [good, (ket(1, 0), (1 + 1e-12) * ket(1, 1))])) < 1e-11
 
 
 class TestAnalyticFunctions:

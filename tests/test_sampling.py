@@ -29,6 +29,8 @@ class TestSeedSpec:
     def test_validation(self):
         with pytest.raises(ValidationError):
             SeedSpec(-1)
+        with pytest.raises(ValidationError, match="64-bit unsigned"):
+            SeedSpec(2**64)
         with pytest.raises(ValidationError):
             SeedSpec(3, -2)
 
@@ -186,6 +188,11 @@ class TestBlockSizes:
         assert sum(block_sizes(1000)) == 1000
         assert block_sizes(3) == [1, 1, 1]
         assert len(block_sizes(1000)) == 64
+
+    def test_extra_samples_go_to_the_first_blocks(self):
+        # every mc and dist output depends on which stream draws how many samples
+        assert block_sizes(130) == [3, 3] + [2] * 62
+        assert block_sizes(64 * 5 + 63) == [6] * 63 + [5]
 
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):

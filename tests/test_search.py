@@ -269,6 +269,21 @@ class TestLockstep:
         assert rows == entries and len(rows) == 3
         assert sum(entries) < res.iterations_used   # some window improved nothing
 
+    def test_floor_stop_matches_sequential_restarts(self, monkeypatch):
+        # at 2x2 the window centre stays at 2^0 or above, so a floor of 2^0 or 2^1 is
+        # what ends these restarts: each floor ends the run earlier than the one below
+        # it, and stops it where the sequential restarts stop, bit for bit
+        part, seed = P22, SeedSpec(18)
+        lower = maximize_ep(part, seed, 3, 300)
+        for floor in (0, 1):
+            monkeypatch.setattr(entpow.search, "MIN_STEP_EXPONENT", floor)
+            monkeypatch.setitem(globals(), "MIN_STEP_EXPONENT", floor)
+            res = maximize_ep(part, seed, 3, 300)
+            best, matrix, trace, used, _ = sequential_maximize(part, seed, 3, 300)
+            assert fingerprint(res) == (repr(best), matrix.tobytes(), trace, used)
+            assert res.iterations_used < lower.iterations_used
+            lower = res
+
 
 SHAPES_UP_TO_8 = [Bipartition(d1, d2) for d1 in range(1, 9) for d2 in range(1, 9) if d1 * d2 <= 8]
 SHAPES_UP_TO_10 = [Bipartition(d1, d2) for d1 in range(1, 11) for d2 in range(1, 11)

@@ -41,6 +41,7 @@ class TestSampleQ:
 
     def test_trivial_factor_all_in_zero_bin(self):
         h = sample_q(Bipartition(1, 2), 300, 10, SeedSpec(74))
+        assert h.bin_edges[0] == 0.0 and h.bin_edges[-1] == 1.0   # the bound is 0
         assert h.counts[0] == 300
         assert h.counts[1:].sum() == 0
 

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from entpow import Bipartition, DimensionError, ValidationError, kron, pair_exchange
-from entpow.tensorops import permutation_matrix
+from entpow.tensorops import ensure_finite, permutation_matrix
 
 
 def rand_c(rng, *shape):
@@ -27,6 +27,16 @@ class TestBipartition:
 
     def test_numpy_integer_dims(self):
         assert Bipartition(np.int64(2), np.int32(3)).dim == 6
+
+
+class TestEnsureFinite:
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.nan), complex(0, np.inf),
+                                     complex(-np.inf, 1)], ids=repr)
+    def test_rejects_a_non_finite_real_or_imaginary_part(self, bad):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(ValidationError, match="block contains non-finite entries"):
+            ensure_finite(m, "block")
 
 
 class TestKron:
@@ -59,6 +69,8 @@ class TestKron:
     def test_dimension_cap(self):
         with pytest.raises(DimensionError):
             kron(np.eye(100), np.eye(100))
+        with pytest.raises(DimensionError, match="kron result 1x2500"):
+            kron(np.ones((1, 50)), np.ones((1, 50)))
 
 
 class TestPermutationMatrix:
