@@ -17,12 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import ValidationError
 from .power import UnitaryGate, _c, _frobenius2, _gram
-from .tensorops import ensure_finite
-
-#: tolerance for the completeness check on Kraus extraction
-KRAUS_ATOL = 1e-10
+from .tensorops import ATOL, unit_vector
 
 
 @dataclass(eq=False)
@@ -60,17 +57,14 @@ def kraus_from_unitary(gate: UnitaryGate, psi2: np.ndarray) -> KrausFamily:
     gate : UnitaryGate
         The bipartite unitary being sliced.
     psi2 : ndarray
-        Normalized state of dimension ``d2`` held fixed on the second factor.
+        State of dimension ``d2`` and norm 1 (to within
+        :data:`~entpow.tensorops.ATOL`) held fixed on the second factor.
 
     The slicing basis is the computational basis of the second factor; the
     derived trace functionals are basis independent.
     """
     d1, d2 = gate.d1, gate.d2
-    psi2 = ensure_finite(psi2, "fixed state").reshape(-1)
-    if psi2.shape[0] != d2:
-        raise DimensionError(f"fixed state has dimension {psi2.shape[0]}, expected {d2}")
-    if abs(np.linalg.norm(psi2) - 1.0) > 1e-10:
-        raise ValidationError("fixed state is not normalized")
+    psi2 = unit_vector(psi2, d2, "fixed state")
 
     u = gate.matrix.reshape(d1, d2, d1, d2)
     # a_ops[j, i, k] = <i j| U |k psi2>
@@ -80,8 +74,8 @@ def kraus_from_unitary(gate: UnitaryGate, psi2: np.ndarray) -> KrausFamily:
 
     completeness = (a_ops.conj().transpose(0, 2, 1) @ a_ops).sum(axis=0)
     defect = np.abs(completeness - np.eye(d1)).max()
-    if defect > KRAUS_ATOL:
-        raise ValidationError(f"Kraus completeness defect {defect:.3e} exceeds {KRAUS_ATOL:.1e}")
+    if defect > ATOL:
+        raise ValidationError(f"Kraus completeness defect {defect:.3e} exceeds {ATOL:.1e}")
     return KrausFamily(a_ops=a_ops, tilde_ops=tilde_ops, source_gate=gate, fixed_state=psi2)
 
 

@@ -59,7 +59,7 @@ def _dims_from_args(args, square: bool = False) -> tuple[int, int]:
         raise ValidationError("give --d or --d1/--d2, not both")
     d1, d2 = (args.d, args.d) if args.d is not None else (args.d1, args.d2)
     if d1 is None or d2 is None:
-        raise ValidationError("this gate needs --d or both --d1 and --d2")
+        raise ValidationError("needs --d or both --d1 and --d2")
     if square and d1 != d2:
         raise ValidationError("this gate needs --d (or equal --d1/--d2)")
     # dimensions below 1 are left to the constructors, which name them in their own errors

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, ResourceLimitError, ValidationError
-from .power import UnitaryGate
+from .power import UnitaryGate, _gram
 from .tensorops import DEFAULT_DIM_CAP, Bipartition, _is_integer, ensure_finite, kron, permutation_matrix
 
 #: tolerance for the pairwise Hilbert-Schmidt orthogonality check
@@ -76,18 +76,16 @@ def make_controlled_family(d: int, unitaries: list[np.ndarray] | None = None) ->
     for a, u in enumerate(blocks):
         if u.shape != (d, d):
             raise DimensionError(f"controlled block {a} must be {d}x{d}, got shape {u.shape}")
-    for a in range(d):
-        for b in range(a + 1, d):
-            overlap = abs(np.trace(blocks[a].conj().T @ blocks[b]))
-            if overlap > HS_ORTHO_ATOL:
-                raise ValidationError(
-                    f"controlled blocks {a} and {b} are not Hilbert-Schmidt orthogonal: "
-                    f"|<U_{a}, U_{b}>| = {overlap:.3e}"
-                )
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for a, u in enumerate(blocks):
-        m[a * d:(a + 1) * d, a * d:(a + 1) * d] = u
-    return UnitaryGate(m, Bipartition(d, d))
+    # every |<U_a, U_b>| = |tr(U_a^dag U_b)|, a < b, from one Gram product; the
+    # first offending pair in row order is named
+    overlaps = np.triu(np.abs(_gram(np.reshape(blocks, (1, d, d * d)))[0]), 1)
+    if overlaps.max() > HS_ORTHO_ATOL:
+        a, b = np.argwhere(overlaps > HS_ORTHO_ATOL)[0]
+        raise ValidationError(f"controlled blocks {a} and {b} are not Hilbert-Schmidt orthogonal: "
+                              f"|<U_{a}, U_{b}>| = {overlaps[a, b]:.3e}")
+    m = np.zeros((d, d, d, d), dtype=complex)
+    m[np.arange(d), :, np.arange(d), :] = blocks   # m[a, i, a, j] = U_a[i, j]
+    return UnitaryGate(m.reshape(d * d, d * d), Bipartition(d, d))
 
 
 def make_additive_permutation(d: int) -> UnitaryGate:

@@ -21,10 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, ResourceLimitError, ValidationError
 from .sampling import SeedSpec, block_sizes, haar_unitary, product_state_block
-from .tensorops import Bipartition, ensure_finite, kron, pair_exchange, permutation_matrix
-
-#: absolute tolerance for the unitarity check on gate construction
-UNITARY_ATOL = 1e-10
+from .tensorops import ATOL, Bipartition, ensure_finite, kron, pair_exchange, unit_vector
 
 #: cap on d1*d2 for the dense doubled-space oracle (matrices of side (d1*d2)^2)
 DENSE_ORACLE_MAX_DIM = 36
@@ -49,9 +46,9 @@ class UnitaryGate:
                 f"gate matrix must be {n}x{n} for bipartition {self.part}, got {m.shape}"
             )
         defect = np.abs(m.conj().T @ m - np.eye(n)).max()
-        if defect > UNITARY_ATOL:
+        if defect > ATOL:
             raise ValidationError(
-                f"matrix is not unitary: max |U^dag U - 1| = {defect:.3e} exceeds {UNITARY_ATOL:.1e}"
+                f"matrix is not unitary: max |U^dag U - 1| = {defect:.3e} exceeds {ATOL:.1e}"
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -104,12 +101,7 @@ def linear_entropy(state: np.ndarray, part: Bipartition) -> float:
     Zero exactly on product states; maximal, ``1 - 1/min(d1,d2)``, on maximally
     entangled states.
     """
-    psi = ensure_finite(state, "state").reshape(-1)
-    if psi.shape[0] != part.dim:
-        raise DimensionError(f"state has dimension {psi.shape[0]}, expected {part.dim}")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValidationError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+    psi = unit_vector(state, part.dim, "state")
     return float(_linear_entropies(psi[None], part)[0])
 
 
@@ -288,18 +280,22 @@ def ep_monte_carlo(gate: UnitaryGate, n_samples: int, seed: SeedSpec) -> Entangl
     values = np.concatenate(chunks)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_samples))
-    i0, i1 = (float(t[0]) for t in _i0_i1(gate.matrix, part)[:2])
-    return _report(mean, i0, i1, part, "monte_carlo", mc_samples=n_samples, mc_stderr=stderr)
+    closed = ep_closed(gate)
+    return _report(mean, closed.i0, closed.i1, part, "monte_carlo",
+                   mc_samples=n_samples, mc_stderr=stderr)
 
 
-def ep_on_states(gate: UnitaryGate, states: list[tuple[np.ndarray, np.ndarray]]) -> float:
+def ep_on_states(gate: UnitaryGate, states) -> float:
     """Plain average of output linear entropies over an explicit list of product pairs.
 
     Supports arbitrary user-chosen input distributions, e.g. one supported on
     computational basis states only.  Each factor state may be flat or a
-    column; each product ``|psi1| |psi2|`` must be 1 to within 1e-10.  Each
-    entry of ``states`` is a tuple or list of the two factor states.
+    column; each product ``|psi1| |psi2|`` must be 1 to within
+    :data:`~entpow.tensorops.ATOL` (the factors need not each be unit
+    vectors).  ``states`` is any iterable, read once, whose entries are each a
+    tuple or list of the two factor states.
     """
+    states = list(states)
     if not states:
         raise ValidationError("states list is empty")
     for k, pair in enumerate(states):
@@ -310,7 +306,7 @@ def ep_on_states(gate: UnitaryGate, states: list[tuple[np.ndarray, np.ndarray]])
     p1 = _factor_states(first, part.d1, "first")
     p2 = _factor_states(second, part.d2, "second")
     defect = np.abs(np.linalg.norm(p1, axis=1) * np.linalg.norm(p2, axis=1) - 1.0).max()
-    if defect > 1e-10:
+    if defect > ATOL:
         raise ValidationError(f"product state is not normalized: |norm - 1| = {defect:.3e}")
     return float(_batch_entropies(gate.matrix, part, p1, p2).mean())
 
@@ -335,7 +331,6 @@ def swap_symmetric_ep(gate: UnitaryGate) -> float:
     if part.d1 != part.d2:
         raise ValidationError(f"swap-symmetric form requires d1 = d2, got {part}")
     d = part.d1
-    swap = permutation_matrix(np.arange(d * d).reshape(d, d).T.ravel())
 
     def functional(m: np.ndarray) -> float:
         u = m.reshape(d, d, d, d)
@@ -344,7 +339,9 @@ def swap_symmetric_ep(gate: UnitaryGate) -> float:
         return d**3 + float(inner.real)
 
     c = _c(d)
-    return 1.0 - c * c * (functional(gate.matrix) + functional(swap @ gate.matrix))
+    # the swap-composed partner SWAP @ U: U with its two row factors exchanged
+    swapped = gate.matrix.reshape(d, d, -1).transpose(1, 0, 2).reshape(d * d, d * d)
+    return 1.0 - c * c * (functional(gate.matrix) + functional(swapped))
 
 
 def haar_gate(part: Bipartition, seed: SeedSpec) -> UnitaryGate:

@@ -1,10 +1,10 @@
 """Analytic identity suite runnable on demand (backs the ``verify`` command).
 
-Every check is exact (tolerance 1e-10 unless stated) and independent of
-sampling noise: known gate values, agreement of the closed form with the dense
-operator oracle, invariances under bilocal composition and swaps, the range
-of the fixed-state map values, and the trace identities of the exchange
-operators.
+Every check is exact (tolerance :data:`entpow.tensorops.ATOL`, 1e-10, unless
+stated) and independent of sampling noise: known gate values, agreement of
+the closed form with the dense operator oracle, invariances under bilocal
+composition and swaps, the range of the fixed-state map values, and the trace
+identities of the exchange operators.
 """
 
 from dataclasses import dataclass
@@ -15,9 +15,7 @@ from .channels import kraus_from_unitary, partial_ep, partial_ep_bound
 from .gates import make_additive_permutation, make_cnot, make_controlled_family, make_identity, make_swap
 from .power import UnitaryGate, ep_closed, ep_dense_oracle, ep_value, haar_gate, swap_symmetric_ep, upper_bound
 from .sampling import SeedSpec, haar_unitary
-from .tensorops import Bipartition, kron, pair_exchange
-
-ATOL = 1e-10
+from .tensorops import ATOL, Bipartition, kron, pair_exchange
 
 #: master seed of the random gates the suite checks
 SEED = SeedSpec(20260811)
@@ -41,6 +39,9 @@ def run_self_checks(extra_gate: UnitaryGate | None = None) -> list[CheckResult]:
 
     def gate(part):
         return haar_gate(part, SEED.substream(next(stream)))
+
+    def bilocal(part):   # u1 (x) u2 from the next two streams, u1 first
+        return kron(*(haar_unitary(d, SEED.substream(next(stream))) for d in (part.d1, part.d2)))
 
     # fixed gate values
     results.append(_check("identity (3,3) entangles nothing",
@@ -86,9 +87,7 @@ def run_self_checks(extra_gate: UnitaryGate | None = None) -> list[CheckResult]:
         for _ in range(4):
             g = gate(part)
             base = ep_closed(g).value
-            u1 = haar_unitary(d1, SEED.substream(next(stream)))
-            u2 = haar_unitary(d2, SEED.substream(next(stream)))
-            biloc = kron(u1, u2)
+            biloc = bilocal(part)
             left = ep_value(biloc @ g.matrix, part)
             right = ep_value(g.matrix @ biloc, part)
             results.append(_check(f"left bilocal invariance at {part}", abs(left - base)))
@@ -125,9 +124,7 @@ def run_self_checks(extra_gate: UnitaryGate | None = None) -> list[CheckResult]:
     if extra_gate is not None:
         g = extra_gate
         base = ep_closed(g).value
-        u1 = haar_unitary(g.d1, SEED.substream(next(stream)))
-        u2 = haar_unitary(g.d2, SEED.substream(next(stream)))
-        left = ep_value(kron(u1, u2) @ g.matrix, g.part)
+        left = ep_value(bilocal(g.part) @ g.matrix, g.part)
         results.append(_check("user gate: bilocal invariance", abs(left - base)))
         results.append(_check("user gate: value within [0, bound]",
                               max(-base, base - upper_bound(g.part)), 1e-9))

@@ -16,7 +16,12 @@ from .errors import DimensionError, ValidationError
 #: cap on any matrix side produced by :func:`kron`
 DEFAULT_DIM_CAP = 2000
 
-_EXCHANGES = ("T13", "T24", "T13T24")
+#: absolute tolerance of every exactness check on input (unit states,
+#: unitarity, Kraus completeness) and of the ``verify`` identity checks
+ATOL = 1e-10
+
+#: axis order of each exchange on the ``(d1, d2, d1, d2)`` index grid
+_EXCHANGES = {"T13": (2, 1, 0, 3), "T24": (0, 3, 2, 1), "T13T24": (2, 3, 0, 1)}
 
 
 def _is_integer(value) -> bool:
@@ -49,9 +54,20 @@ class Bipartition:
 def ensure_finite(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Return ``m`` as a complex array, rejecting NaN/Inf entries."""
     m = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():   # false for a complex entry with either part non-finite
         raise ValidationError(f"{what} contains non-finite entries")
     return m
+
+
+def unit_vector(v: np.ndarray, d: int, what: str) -> np.ndarray:
+    """``v`` as a flat finite complex vector of length ``d`` and norm 1 to within :data:`ATOL`."""
+    v = ensure_finite(v, what).reshape(-1)
+    if v.shape[0] != d:
+        raise DimensionError(f"{what} has dimension {v.shape[0]}, expected {d}")
+    defect = abs(np.linalg.norm(v) - 1.0)
+    if defect > ATOL:
+        raise ValidationError(f"{what} is not normalized: |norm - 1| = {defect:.3e}")
+    return v
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -108,15 +124,8 @@ def pair_exchange(part: Bipartition, which: str = "T13") -> np.ndarray:
         inverse.
     """
     if which not in _EXCHANGES:
-        raise ValidationError(f"which must be one of {_EXCHANGES}, got {which!r}")
+        raise ValidationError(f"which must be one of {tuple(_EXCHANGES)}, got {which!r}")
     d1, d2 = part.d1, part.d2
-    n = (d1 * d2) ** 2
-    idx = np.arange(n).reshape(d1, d2, d1, d2)
-    if which == "T13":
-        rows = idx.transpose(2, 1, 0, 3)
-    elif which == "T24":
-        rows = idx.transpose(0, 3, 2, 1)
-    else:
-        rows = idx.transpose(2, 3, 0, 1)
-    return permutation_matrix(rows.ravel())
+    idx = np.arange((d1 * d2) ** 2).reshape(d1, d2, d1, d2)
+    return permutation_matrix(idx.transpose(_EXCHANGES[which]).ravel())
 

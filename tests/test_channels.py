@@ -82,6 +82,11 @@ class TestKrausExtraction:
         with pytest.raises(ValidationError, match="fixed state is not normalized"):
             kraus_from_unitary(make_cnot(), (1 + 1e-8) * np.array([1.0, 0.0]))
 
+    def test_fixed_state_refusal_prints_the_deviation(self):
+        with pytest.raises(ValidationError,
+                           match=r"^fixed state is not normalized: \|norm - 1\| = 1\.000e-08$"):
+            kraus_from_unitary(make_cnot(), (1 + 1e-8) * np.array([1.0, 0.0]))
+
 
 class TestPartialEp:
     def test_identity_gate_zero(self):

@@ -475,15 +475,25 @@ class TestConflictingOptions:
         assert [p.name for p in tmp_path.iterdir()] == ["id3.json"]
 
     @pytest.mark.parametrize("dims, message", [
-        ([], "this gate needs --d or both --d1 and --d2"),
-        (["--d1", "3"], "this gate needs --d or both --d1 and --d2"),
-        (["--d2", "3"], "this gate needs --d or both --d1 and --d2"),
+        ([], "needs --d or both --d1 and --d2"),
+        (["--d1", "3"], "needs --d or both --d1 and --d2"),
+        (["--d2", "3"], "needs --d or both --d1 and --d2"),
         (["--d1", "2", "--d2", "3"], "this gate needs --d (or equal --d1/--d2)"),
     ], ids=["none", "d1-only", "d2-only", "unequal"])
     def test_square_gate_needs_equal_dimensions(self, capsys, tmp_path, dims, message):
         code = main(["eval", "--gate", "swap", *dims, "--out", str(tmp_path / "r.json")])
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["dist", "--d1", "3", "--out", "x.csv"],
+                                      ["optimize", "--d2", "3", "--out", "x.json"]],
+                             ids=["dist", "optimize"])
+    def test_commands_without_a_gate_need_both_dimensions(self, capsys, tmp_path, argv):
+        # the message names no gate: dist and optimize take none
+        code = main([str(tmp_path / a) if a.startswith("x.") else a for a in argv])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: needs --d or both --d1 and --d2\n"
         assert list(tmp_path.iterdir()) == []
 
 

@@ -66,6 +66,10 @@ class TestControlledFamily:
         t = 1e-6
         with pytest.raises(ValidationError, match=r"\|<U_0, U_1>\| = 2\.000e-06"):
             make_controlled_family(2, [np.eye(2), np.diag([np.exp(1j * t), -np.exp(-1j * t)])])
+        # blocks 0 and 1 are orthogonal, so the first pair named is (0, 2), with tr(1) = 3
+        with pytest.raises(ValidationError,
+                           match=r"controlled blocks 0 and 2 .* \|<U_0, U_2>\| = 3\.000e\+00"):
+            make_controlled_family(3, [np.eye(3), clock_matrix(3), np.eye(3)])
 
     def test_rejects_wrong_count(self):
         with pytest.raises(ValidationError):
@@ -88,6 +92,11 @@ class TestControlledFamily:
         for a in range(d):
             assert_allclose(m[a * d:(a + 1) * d, a * d:(a + 1) * d],
                             np.linalg.matrix_power(z, a), atol=1e-12)
+        # oracle: the blocks placed one by one, zeros elsewhere
+        expected = np.zeros((d * d, d * d), dtype=complex)
+        for a in range(d):
+            expected[a * d:(a + 1) * d, a * d:(a + 1) * d] = np.linalg.matrix_power(z, a)
+        assert np.array_equal(m, expected)
 
 
 class TestAdditivePermutation:

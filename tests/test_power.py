@@ -10,7 +10,7 @@ from entpow.sampling import product_state_block
 from entpow import (Bipartition, DimensionError, ResourceLimitError, SeedSpec, UnitaryGate,
                     ValidationError, ep_closed, ep_dense_oracle, ep_monte_carlo, ep_on_states,
                     ep_value, ep_values,
-                    haar_gate, haar_mean, haar_unitary, kron, linear_entropy,
+                    haar_gate, haar_mean, haar_unitary, kraus_from_unitary, kron, linear_entropy,
                     make_basis_permutation, make_cnot, make_identity, make_swap,
                     swap_symmetric_ep, upper_bound)
 
@@ -331,6 +331,26 @@ class TestOnStates:
         with pytest.raises(ValidationError, match=r"\|norm - 1\| = 1\.000e-08"):
             ep_on_states(make_cnot(), [good, (ket(1, 0), (1 + 1e-8) * ket(1, 1))])
         assert abs(ep_on_states(make_cnot(), [good, (ket(1, 0), (1 + 1e-12) * ket(1, 1))])) < 1e-11
+        # the other unit-state entry points hold the same boundary
+        for admit in (lambda s: linear_entropy(s * ket(1, 0, 0, 0), P22),
+                      lambda s: kraus_from_unitary(make_cnot(), s * ket(1, 0).ravel())):
+            with pytest.raises(ValidationError, match="not normalized"):
+                admit(1 + 1e-8)
+            admit(1 + 1e-12)
+
+    def test_array_of_pairs_is_refused_by_entry(self):
+        # an (N, 2, d) array is read as a list of N entries, none of them a tuple or list
+        pairs = np.array([(ket(1, 0).ravel(), ket(1, 1).ravel())] * 3)
+        with pytest.raises(ValidationError, match=r"states\[0\] is not a \(first, second\) pair"):
+            ep_on_states(make_cnot(), pairs)
+
+    def test_iterator_is_read_as_a_list(self):
+        pairs = [(ket(1, 0), ket(1, 1)), (ket(1, 1), ket(1, 0))]
+        assert ep_on_states(make_cnot(), iter(pairs)) == ep_on_states(make_cnot(), pairs)
+        with pytest.raises(ValidationError, match=r"states\[1\] is not a \(first, second\) pair"):
+            ep_on_states(make_cnot(), iter([pairs[0], ket(1, 0)]))
+        with pytest.raises(ValidationError, match="empty"):
+            ep_on_states(make_cnot(), iter([]))
 
 
 class TestAnalyticFunctions:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from entpow import Bipartition, DimensionError, ValidationError, kron, pair_exchange
-from entpow.tensorops import ensure_finite, permutation_matrix
+from entpow.tensorops import ensure_finite, permutation_matrix, unit_vector
 
 
 def rand_c(rng, *shape):
@@ -37,6 +37,25 @@ class TestEnsureFinite:
         m[1, 2] = bad
         with pytest.raises(ValidationError, match="block contains non-finite entries"):
             ensure_finite(m, "block")
+
+
+class TestUnitVector:
+    def test_returns_the_flat_complex_vector(self):
+        v = np.array([[0.6], [0.8j]])
+        got = unit_vector(v, 2, "state")
+        assert got.shape == (2,) and got.dtype == complex
+        assert np.array_equal(got, v.ravel())
+
+    def test_tolerance_is_1e_10(self):
+        with pytest.raises(ValidationError, match=r"^state is not normalized: \|norm - 1\| = 1\.000e-08$"):
+            unit_vector((1 + 1e-8) * np.array([1.0, 0.0]), 2, "state")
+        unit_vector((1 + 1e-12) * np.array([1.0, 0.0]), 2, "state")
+
+    def test_rejects_wrong_length_and_non_finite(self):
+        with pytest.raises(DimensionError, match="^fixed state has dimension 3, expected 2$"):
+            unit_vector(np.array([1.0, 0.0, 0.0]), 2, "fixed state")
+        with pytest.raises(ValidationError, match="state contains non-finite entries"):
+            unit_vector(np.array([np.nan, 1.0]), 2, "state")
 
 
 class TestKron:
