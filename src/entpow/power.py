@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DimensionError, ResourceLimitError, ValidationError
 from .sampling import SeedSpec, block_sizes, haar_unitary, product_state_block
-from .tensorops import ATOL, Bipartition, ensure_finite, kron, pair_exchange, unit_vector
+from .tensorops import (ATOL, Bipartition, _leading, ensure_finite, flat_vector, kron,
+                        pair_exchange, unit_vector)
 
 #: cap on d1*d2 for the dense doubled-space oracle (matrices of side (d1*d2)^2)
 DENSE_ORACLE_MAX_DIM = 36
@@ -118,11 +119,13 @@ def _linear_entropies(states: np.ndarray, part: Bipartition) -> np.ndarray:
     return 1.0 - _frobenius2(_gram(m))
 
 
-def _gram(a: np.ndarray) -> np.ndarray:
-    return a @ a.conj().transpose(0, 2, 1)
+def _gram(a: np.ndarray, conj: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """``A A^dag`` for each matrix of a stack; written into ``conj`` (scratch) and ``out`` when given."""
+    c = a.conj() if conj is None else np.conjugate(a, out=conj)
+    return np.matmul(a, c.transpose(0, 2, 1), out=out)
 
 
-def _i0_i1(stack: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.ndarray, tuple]:
+def _i0_i1(stack: np.ndarray, part: Bipartition, work: tuple | None = None) -> tuple:
     """The two exchange-operator traces of a stack of gates, and the stacks behind them.
 
     With ``u`` each gate reshaped to four indices (row pair, column pair),
@@ -132,16 +135,34 @@ def _i0_i1(stack: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.ndarray
     is a constant plus the squared Frobenius norm of its ``T = A A^dag``; the
     third value is ``(A0, T0, A1, T1)``, from which :func:`_gradients` reads
     the gradient.
+
+    ``work`` supplies the memory instead: three flat complex arrays, for the
+    conjugate of ``A``, for ``A`` and for ``T``, of at least ``N n^2``,
+    ``N n^2`` and ``N max(n^2, d1^4)`` entries (``T0`` has ``d1^4``).  Each
+    rearrangement and its Gram are written into them and reduced to the trace
+    before the next starts, so the third value is ``None``.
     """
     d1, d2 = part.d1, part.d2
     u = stack.reshape(-1, d1, d2, d1, d2)
     n = u.shape[0]
-    # I0: contract over the d2 indices of each copy -> matrix indexed by d1 index pairs
-    a0 = u.transpose(0, 1, 3, 2, 4).reshape(n, d1 * d1, d2 * d2)
+    traces, stacks = [], []
+    # I0: contract over the d2 indices of each copy -> matrix indexed by d1 index pairs;
     # I1: contract over the d1 indices of each copy -> matrix indexed by d2 index pairs
-    a1 = u.transpose(0, 2, 3, 1, 4).reshape(n, d2 * d1, d1 * d2)
-    t0, t1 = _gram(a0), _gram(a1)
-    return d1 * d2 * d2 + _frobenius2(t0), d1 * d1 * d2 + _frobenius2(t1), (a0, t0, a1, t1)
+    for axes, rows, constant in (((0, 1, 3, 2, 4), d1 * d1, d1 * d2 * d2),
+                                 ((0, 2, 3, 1, 4), d2 * d1, d1 * d1 * d2)):
+        r = u.transpose(axes)
+        if work is None:
+            a = r.reshape(n, rows, -1)
+            t = _gram(a)
+            stacks += [a, t]
+        else:
+            conj, rearranged, gram = work
+            a = _leading(rearranged, r.shape)
+            a[...] = r
+            a = a.reshape(n, rows, -1)
+            t = _gram(a, _leading(conj, a.shape), _leading(gram, (n, rows, rows)))
+        traces.append(constant + _frobenius2(t))
+    return traces[0], traces[1], tuple(stacks) if work is None else None
 
 
 def _frobenius2(t: np.ndarray) -> np.ndarray:
@@ -153,14 +174,16 @@ def _closed_form(i0, i1, part: Bipartition):
     return 1.0 - _c(part.d1) * _c(part.d2) * (i0 + i1)
 
 
-def ep_values(stack: np.ndarray, part: Bipartition) -> np.ndarray:
+def ep_values(stack: np.ndarray, part: Bipartition, work: tuple | None = None) -> np.ndarray:
     """Closed-form entangling power of a stack of (unvalidated) unitaries, ``(N, n, n) -> (N,)``.
 
     The one closed-form kernel: :func:`ep_value` and :func:`ep_closed` are its
     ``N = 1`` case (a single ``(n, n)`` matrix counts as a stack of one), and
-    sampling loops call it on whole stacks of gates.
+    sampling loops call it on whole stacks of gates.  ``work``, three flat
+    complex arrays as described in ``_i0_i1``, lets a loop over complex
+    stacks reuse one set of buffers; the values are the same bit for bit.
     """
-    i0, i1, _ = _i0_i1(stack, part)
+    i0, i1, _ = _i0_i1(stack, part, work)
     return _closed_form(i0, i1, part)
 
 
@@ -175,7 +198,9 @@ def substack_size(n: int) -> int:
 
     A sub-stack holds at most 8192 matrix entries.  ``dist`` draws and
     evaluates one sub-stack at a time on each of its threads (one per CPU, up
-    to 64), so its working set is about that many sub-stacks; the values do not
+    to 64), in three buffers each thread allocates once: the Gaussians, the
+    matrices and the Grams, the last of ``max(n^2, d1^4)`` entries per gate.
+    So its working set is a few sub-stacks per thread; the values do not
     depend on the number of CPUs.  Also the number of restarts in one lockstep
     group of :func:`entpow.search.maximize_ep`, whose stack of three-step
     windows then holds at most three times as many entries.
@@ -289,10 +314,10 @@ def ep_on_states(gate: UnitaryGate, states) -> float:
     """Plain average of output linear entropies over an explicit list of product pairs.
 
     Supports arbitrary user-chosen input distributions, e.g. one supported on
-    computational basis states only.  Each factor state may be flat or a
-    column; each product ``|psi1| |psi2|`` must be 1 to within
-    :data:`~entpow.tensorops.ATOL` (the factors need not each be unit
-    vectors).  ``states`` is any iterable, read once, whose entries are each a
+    computational basis states only.  Each factor state may be flat, a
+    column or a row, and any other shape is refused; each product
+    ``|psi1| |psi2|`` must be 1 to within :data:`~entpow.tensorops.ATOL` (the
+    factors need not each be unit vectors).  ``states`` is any iterable, read once, whose entries are each a
     tuple or list of the two factor states.
     """
     states = list(states)
@@ -312,12 +337,9 @@ def ep_on_states(gate: UnitaryGate, states) -> float:
 
 
 def _factor_states(states, d: int, which: str) -> np.ndarray:
-    """One factor's states as a finite complex ``(N, d)`` array; any other length is refused."""
-    rows = [np.ravel(s) for s in states]
-    for row in rows:
-        if row.shape != (d,):
-            raise DimensionError(f"{which}-factor state has dimension {row.size}, expected {d}")
-    return ensure_finite(np.array(rows), f"{which}-factor state")
+    """One factor's states as a finite complex ``(N, d)`` array; any shape but a vector's is refused."""
+    what = f"{which}-factor state"
+    return ensure_finite(np.array([flat_vector(s, d, what) for s in states]), what)
 
 
 def swap_symmetric_ep(gate: UnitaryGate) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .tensorops import DEFAULT_DIM_CAP, Bipartition, _is_integer
+from .tensorops import DEFAULT_DIM_CAP, Bipartition, _is_integer, _leading
 
 #: fixed number of sub-streams a bulk sampling request is split over
 NUM_STREAM_BLOCKS = 64
@@ -89,19 +89,28 @@ def haar_unitary(n: int, seed: SeedSpec) -> np.ndarray:
     return _haar_unitary_from(seed.generator(), n)
 
 
-def _haar_unitary_from(rng: np.random.Generator, n: int, count: int | None = None) -> np.ndarray:
+def _haar_unitary_from(rng: np.random.Generator, n: int, count: int | None = None,
+                       work: tuple | None = None) -> np.ndarray:
     """One ``(n, n)`` Haar unitary, or a ``(count, n, n)`` stack of them, from ``rng``.
 
     Each matrix takes its real then its imaginary Gaussian block from the
     stream, so a stack of ``count`` equals ``count`` successive single draws
-    bit for bit.  The Gaussian block is freed before the QR, and the phases are
-    multiplied into ``q`` in place, to keep the working set small.
+    bit for bit.  The phases are multiplied into ``q`` in place.  ``work``, a
+    flat float array of at least ``2 count n^2`` entries and a flat complex one
+    of at least ``count n^2``, takes the Gaussians and the matrix fed to the QR,
+    so only the QR's outputs are allocated; without it the Gaussian block is
+    freed before the QR, to keep the working set small.
     """
-    g = rng.standard_normal((2, n, n) if count is None else (count, 2, n, n))
-    z = np.empty(g.shape[:-3] + (n, n), dtype=complex)
+    shape = (2, n, n) if count is None else (count, 2, n, n)
+    if work is None:
+        g = rng.standard_normal(shape)
+        z = np.empty(shape[:-3] + (n, n), dtype=complex)
+    else:
+        g = rng.standard_normal(out=_leading(work[0], shape))
+        z = _leading(work[1], shape[:-3] + (n, n))
     z.real, z.imag = g[..., 0, :, :], g[..., 1, :, :]
     del g
-    z /= np.sqrt(2.0)
+    np.divide(z, np.sqrt(2.0), out=z)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (d / np.abs(d))[..., None, :]

@@ -47,10 +47,11 @@ def sample_q(part: Bipartition, n_samples: int, n_bins: int, seed: SeedSpec) -> 
     a fixed set of seed substreams taken in stream order, so the histogram is
     deterministic for a given seed.  Within a stream, gates are drawn and
     evaluated in sub-stacks of at most 8192 matrix entries by
-    :func:`ep_values`; the values equal those of a one-gate-at-a-time loop bit
-    for bit.  The streams run on the calling thread and one helper thread per
-    further CPU the process may use, at most one thread per stream; the
-    histogram does not depend on the number of CPUs.  The call consumes streams
+    :func:`ep_values`, in three buffers each thread allocates once; the values
+    equal those of a one-gate-at-a-time loop bit for bit.  The streams run on
+    the calling thread and one helper thread per further CPU the process may
+    use, at most one thread per stream; the histogram does not depend on the
+    number of CPUs.  The call consumes streams
     ``seed.stream_index`` to ``seed.stream_index + 63`` (fewer below 64
     samples); for independent histograms use distinct master seeds.
     """
@@ -88,9 +89,14 @@ def _haar_values(part: Bipartition, n_samples: int, seed: SeedSpec) -> np.ndarra
     so blocks are independent.  The calling thread and ``min(cpus, blocks) - 1``
     helper threads take block indices in turn from one counter; the draws and
     Gram products are LAPACK/BLAS calls that release the GIL, so the threads
-    overlap.  Blocks are concatenated in stream order, so the values do not
-    depend on the number of CPUs.  Once a block raises, no thread starts
-    another, and the first exception is re-raised after every helper is joined.
+    overlap.  Each thread allocates one sub-stack's buffers once and draws and
+    evaluates every sub-stack in them: the Gaussians, reused for the
+    conjugates; the matrices fed to the QR, reused for ``A0`` and then ``A1``;
+    and one Gram buffer for ``T0`` and then ``T1``, of ``max(n^2, d1^4)``
+    entries per gate.  Only the QR's outputs are allocated per sub-stack.
+    Blocks are concatenated in stream order, so the values do not depend on
+    the number of CPUs.  Once a block raises, no thread starts another, and
+    the first exception is re-raised after every helper is joined.
     """
     n = part.dim
     substack = substack_size(n)
@@ -101,12 +107,17 @@ def _haar_values(part: Bipartition, n_samples: int, seed: SeedSpec) -> np.ndarra
 
     def work():
         try:
+            # this thread's buffers: Gaussians (then conjugates), matrices, Grams
+            gauss = np.empty(substack * 2 * n * n)
+            mats = np.empty(substack * n * n, dtype=complex)
+            grams = np.empty(substack * max(n * n, part.d1 ** 4), dtype=complex)
             for b in claims:
                 if b >= len(sizes) or failures:
                     return
                 rng, count = seed.substream(b).generator(), sizes[b]
                 blocks[b] = np.concatenate([
-                    ep_values(_haar_unitary_from(rng, n, min(substack, count - start)), part)
+                    ep_values(_haar_unitary_from(rng, n, min(substack, count - start), (gauss, mats)),
+                              part, (gauss.view(complex), mats, grams))
                     for start in range(0, count, substack)])
         except BaseException as exc:     # re-raised by the calling thread below
             failures.append(exc)

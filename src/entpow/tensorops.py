@@ -6,6 +6,7 @@ ordered ``|i>|j> -> i*d2 + j``.  Operators on the doubled space ``H (x) H``
 carry four factors ``(d1, d2, d1, d2)`` flattened row-major in the same way.
 """
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -59,15 +60,32 @@ def ensure_finite(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return m
 
 
+def flat_vector(v, d: int, what: str) -> np.ndarray:
+    """``v`` as a flat array of length ``d``, from one of the shapes ``(d,)``, ``(d, 1)``, ``(1, d)``.
+
+    Any other shape is refused with a :class:`DimensionError` that names it,
+    so a matrix with ``d`` entries is not read as a vector.
+    """
+    v = np.asarray(v)
+    if not (v.ndim == 1 or v.ndim == 2 and 1 in v.shape):
+        raise DimensionError(f"{what} has shape {v.shape}, expected ({d},), ({d}, 1) or (1, {d})")
+    if v.size != d:
+        raise DimensionError(f"{what} has dimension {v.size}, expected {d}")
+    return v.reshape(d)
+
+
 def unit_vector(v: np.ndarray, d: int, what: str) -> np.ndarray:
-    """``v`` as a flat finite complex vector of length ``d`` and norm 1 to within :data:`ATOL`."""
-    v = ensure_finite(v, what).reshape(-1)
-    if v.shape[0] != d:
-        raise DimensionError(f"{what} has dimension {v.shape[0]}, expected {d}")
+    """:func:`flat_vector` of ``v``, finite and complex, with norm 1 to within :data:`ATOL`."""
+    v = flat_vector(ensure_finite(v, what), d, what)
     defect = abs(np.linalg.norm(v) - 1.0)
     if defect > ATOL:
         raise ValidationError(f"{what} is not normalized: |norm - 1| = {defect:.3e}")
     return v
+
+
+def _leading(buf: np.ndarray, shape) -> np.ndarray:
+    """The leading entries of the flat array ``buf`` as a view of ``shape``: a reused buffer's slot."""
+    return buf[:math.prod(shape)].reshape(shape)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

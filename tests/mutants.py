@@ -66,7 +66,7 @@ MUTATIONS = [
     ("power", "Monte Carlo accepts one sample",
      "if n_samples < 2:", "if n_samples < 1:"),
     ("power", "I0 constant uses d1 twice",
-     "return d1 * d2 * d2 + _frobenius2(t0)", "return d1 * d2 * d1 + _frobenius2(t0)"),
+     "d1 * d1, d1 * d2 * d2)", "d1 * d1, d1 * d2 * d1)"),
     ("power", "ep_on_states accepts an empty list",
      "    if not states:\n", "    if False:\n"),
     ("sampling", "Haar phase fix dropped",
@@ -111,12 +111,18 @@ MUTATIONS = [
      "for _ in range(min(_cpu_count(), len(sizes)))]"),
     ("spectrum", "degenerate bound bins over [0, 1/2]",
      "hi = bound if bound > 0 else 1.0", "hi = bound if bound > 0 else 0.5"),
+    ("spectrum", "Gram buffer sized for T1 alone",
+     "substack * max(n * n, part.d1 ** 4)", "substack * n * n"),
     ("tensorops", "ensure_finite checks only the real part",
      "if not np.isfinite(m).all():", "if not np.isfinite(m.real).all():"),
     ("tensorops", "one input tolerance 1e-3",
      "ATOL = 1e-10", "ATOL = 1e-3"),
     ("tensorops", "unit_vector admits norms off by up to 1e3 * ATOL",
      "if defect > ATOL:", "if defect > 1e3 * ATOL:"),
+    ("tensorops", "matrices read as vectors",
+     "if not (v.ndim == 1 or v.ndim == 2 and 1 in v.shape):", "if v.ndim > 2:"),
+    ("tensorops", "a buffer's slot is the whole buffer",
+     "return buf[:math.prod(shape)].reshape(shape)", "return buf.reshape(shape)"),
     ("tensorops", "kron caps only the rows",
      "if rows > DEFAULT_DIM_CAP or cols > DEFAULT_DIM_CAP:", "if rows > DEFAULT_DIM_CAP:"),
     ("tensorops", "Bipartition checks only d1",

@@ -170,10 +170,10 @@ class TestDist:
         calls = itertools.count()
         real = entpow.spectrum.ep_values
 
-        def failing(stack, part):
+        def failing(*args):
             if next(calls) == 20:
                 raise ValidationError("injected")
-            return real(stack, part)
+            return real(*args)
 
         monkeypatch.setattr(entpow.spectrum, "ep_values", failing)
         monkeypatch.setattr(entpow.spectrum, "_cpu_count", lambda: 2)

@@ -1,6 +1,9 @@
 import itertools
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,7 +81,11 @@ def per_gate_values(part, n_samples, seed):
 
 
 class TestBatchedSampling:
-    @pytest.mark.parametrize("d1, d2, n_samples", [(2, 2, 64 * 513 + 5), (3, 4, 64 * 57 + 7)])
+    # 5x5 has 13 gates per sub-stack and tails of 1 and 2; at 4x2, T0 has d1^4 > n^2 entries per
+    # gate; at 1x7 the rearrangements are views of the gates
+    @pytest.mark.parametrize("d1, d2, n_samples", [(2, 2, 64 * 513 + 5), (3, 4, 64 * 57 + 7),
+                                                   (5, 5, 64 * 14 + 3), (4, 2, 64 * 129 + 5),
+                                                   (1, 7, 64 * 168 + 5)])
     def test_values_equal_per_gate_loop(self, d1, d2, n_samples):
         part = Bipartition(d1, d2)
         substack = substack_size(part.dim)
@@ -98,9 +105,9 @@ class TestBatchedSampling:
         real = entpow.spectrum.ep_values
         workers = set()
 
-        def recording(stack, p):
+        def recording(*args):
             workers.add(threading.get_ident())
-            return real(stack, p)
+            return real(*args)
 
         monkeypatch.setattr(entpow.spectrum, "ep_values", recording)
         histograms = []
@@ -125,10 +132,10 @@ class TestBatchedSampling:
         calls = itertools.count()
         real = entpow.spectrum.ep_values
 
-        def failing(stack, p):
+        def failing(*args):
             if next(calls) == 20:
                 raise failure
-            return real(stack, p)
+            return real(*args)
 
         monkeypatch.setattr(entpow.spectrum, "ep_values", failing)
         monkeypatch.setattr(entpow.spectrum, "_cpu_count", lambda: 3)
@@ -139,6 +146,33 @@ class TestBatchedSampling:
         assert threading.active_count() == before
         # the 21st call fails; each of the two other threads finishes at most the block it holds
         assert next(calls) <= 23
+
+
+#: one digest over dist's values at 3x3 and 5x5 and an ascent at 4x4, printed by a child interpreter
+DIGEST_SCRIPT = """
+import hashlib
+from entpow import Bipartition, SeedSpec, maximize_ep
+from entpow.spectrum import _haar_values
+h = hashlib.sha256()
+for d, n_samples in ((3, 2000), (5, 300)):
+    h.update(_haar_values(Bipartition(d, d), n_samples, SeedSpec(80)).tobytes())
+result = maximize_ep(Bipartition(4, 4), SeedSpec(80), restarts=2, max_iters=40)
+h.update(result.best_gate.matrix.tobytes() + repr(result.trace).encode())
+print(h.hexdigest())
+"""
+
+
+def test_values_do_not_depend_on_the_blas_thread_count():
+    # dist's buffers rest on matmul(out=...) giving the bits of an allocated product
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    children = [subprocess.Popen([sys.executable, "-c", DIGEST_SCRIPT], env=extra, text=True,
+                                 stdout=subprocess.PIPE)
+                for extra in ({**env, "OPENBLAS_NUM_THREADS": "1"}, env)]
+    digests = [child.communicate(timeout=60)[0] for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    assert len(digests[0].strip()) == 64 and digests[0] == digests[1]
 
 
 class TestExactTwoQubitReference:

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from entpow import Bipartition, DimensionError, ValidationError, kron, pair_exchange
-from entpow.tensorops import ensure_finite, permutation_matrix, unit_vector
+from entpow import (Bipartition, DimensionError, UnitaryGate, ValidationError, ep_on_states,
+                    kraus_from_unitary, kron, linear_entropy, pair_exchange)
+from entpow.tensorops import _leading, ensure_finite, permutation_matrix, unit_vector
 
 
 def rand_c(rng, *shape):
@@ -56,6 +59,36 @@ class TestUnitVector:
             unit_vector(np.array([1.0, 0.0, 0.0]), 2, "fixed state")
         with pytest.raises(ValidationError, match="state contains non-finite entries"):
             unit_vector(np.array([np.nan, 1.0]), 2, "state")
+
+    def test_admits_a_row(self):
+        assert np.array_equal(unit_vector(np.array([[0.6, 0.8j]]), 2, "state"), [0.6, 0.8j])
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2, 2), (4, 1, 1), ()], ids=str)
+    def test_refuses_any_other_shape(self, shape):
+        v = np.full(shape, 0.5)
+        with pytest.raises(DimensionError, match=rf"^state has shape {re.escape(str(shape))}, "
+                                                 r"expected \(4,\), \(4, 1\) or \(1, 4\)$"):
+            unit_vector(v, 4, "state")
+
+    # a 2x2 matrix of norm 1 (here a Bell state's coefficients) has the entry count of a
+    # 4-dimensional state, and must not be read as one
+    @pytest.mark.parametrize("call, what", [
+        (lambda m: linear_entropy(m, Bipartition(2, 2)), "state"),
+        (lambda m: kraus_from_unitary(UnitaryGate(np.eye(8), Bipartition(2, 4)), m), "fixed state"),
+        (lambda m: ep_on_states(UnitaryGate(np.eye(8), Bipartition(2, 4)), [([1.0, 0.0], m)]),
+         "second-factor state"),
+    ], ids=["linear_entropy", "kraus_from_unitary", "ep_on_states"])
+    def test_matrices_are_not_read_as_states(self, call, what):
+        with pytest.raises(DimensionError, match=rf"^{what} has shape \(2, 2\)"):
+            call(np.eye(2) / np.sqrt(2))
+
+
+def test_leading_is_a_view_of_the_first_entries():
+    buf = np.arange(10.0)
+    slot = _leading(buf, (2, 3))
+    assert np.array_equal(slot, np.arange(6.0).reshape(2, 3))
+    slot[1, 2] = -1.0
+    assert buf[5] == -1.0 and buf[6] == 6.0
 
 
 class TestKron:
