@@ -127,7 +127,7 @@ def save_gate(gate: UnitaryGate, path) -> None:
     payload = {
         "d1": gate.d1,
         "d2": gate.d2,
-        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in gate.matrix],
+        "matrix": np.stack([gate.matrix.real, gate.matrix.imag], axis=-1).tolist(),
     }
     Path(path).write_text(json.dumps(payload))
 

@@ -125,16 +125,31 @@ def _gram(a: np.ndarray, conj: np.ndarray | None = None, out: np.ndarray | None 
     return np.matmul(a, c.transpose(0, 2, 1), out=out)
 
 
+#: axis orders that rearrange a stack of gates, indexed ``(gate, a, b, c, d)`` for
+#: ``U[(a, b), (c, d)]``, into ``A0[(a, c), (b, d)]`` and ``A1[(b, c), (a, d)]``
+_REARRANGEMENTS = ((0, 1, 3, 2, 4), (0, 2, 3, 1, 4))
+
+#: the axis orders that undo them (their argsorts; the second is not its own inverse):
+#: axis ``k`` of a gate sits at position ``axes.index(k)`` of the rearrangement
+_UNDO = tuple(tuple(axes.index(k) for k in range(len(axes))) for axes in _REARRANGEMENTS)
+
+
+def _gate_shape(n, part: Bipartition) -> tuple:
+    """Shape of ``n`` gates with each row and column index split into its ``(d1, d2)`` pair."""
+    return n, part.d1, part.d2, part.d1, part.d2
+
+
 def _i0_i1(stack: np.ndarray, part: Bipartition, work: tuple | None = None) -> tuple:
     """The two exchange-operator traces of a stack of gates, and the stacks behind them.
 
-    With ``u`` each gate reshaped to four indices (row pair, column pair),
-    ``A0`` pairs the ``d1`` indices and ``A1`` the ``d2`` indices, so that
-    contracting two copies of ``u`` against two conjugated copies becomes
-    one matrix product per trace, at cost O((d1 d2)^3) per gate.  Each trace
-    is a constant plus the squared Frobenius norm of its ``T = A A^dag``; the
-    third value is ``(A0, T0, A1, T1)``, from which :func:`_gradients` reads
-    the gradient.
+    Each gate ``u``, its row and its column index each split into a ``(d1,
+    d2)`` pair, is rearranged by each entry of ``_REARRANGEMENTS``: ``A0``
+    pairs the ``d1`` indices and ``A1`` the ``d2`` indices, so that
+    contracting two copies of ``u`` against two conjugated copies becomes one
+    matrix product per trace, at cost O((d1 d2)^3) per gate.  Each trace is ``d1 d2`` times the dimension of the contracted
+    factor plus the squared Frobenius norm of its ``T = A A^dag``; the third
+    value is ``(A0, T0, A1, T1)``, from which :func:`_gradients` reads the
+    gradient.
 
     ``work`` supplies the memory instead: three flat complex arrays, for the
     conjugate of ``A``, for ``A`` and for ``T``, of at least ``N n^2``,
@@ -142,15 +157,13 @@ def _i0_i1(stack: np.ndarray, part: Bipartition, work: tuple | None = None) -> t
     rearrangement and its Gram are written into them and reduced to the trace
     before the next starts, so the third value is ``None``.
     """
-    d1, d2 = part.d1, part.d2
-    u = stack.reshape(-1, d1, d2, d1, d2)
+    u = stack.reshape(_gate_shape(-1, part))
     n = u.shape[0]
     traces, stacks = [], []
-    # I0: contract over the d2 indices of each copy -> matrix indexed by d1 index pairs;
-    # I1: contract over the d1 indices of each copy -> matrix indexed by d2 index pairs
-    for axes, rows, constant in (((0, 1, 3, 2, 4), d1 * d1, d1 * d2 * d2),
-                                 ((0, 2, 3, 1, 4), d2 * d1, d1 * d1 * d2)):
+    # I0 contracts the d2 indices of each copy, I1 the d1 indices (axis 3 after rearranging)
+    for axes in _REARRANGEMENTS:
         r = u.transpose(axes)
+        rows = r.shape[1] * r.shape[2]
         if work is None:
             a = r.reshape(n, rows, -1)
             t = _gram(a)
@@ -161,7 +174,7 @@ def _i0_i1(stack: np.ndarray, part: Bipartition, work: tuple | None = None) -> t
             a[...] = r
             a = a.reshape(n, rows, -1)
             t = _gram(a, _leading(conj, a.shape), _leading(gram, (n, rows, rows)))
-        traces.append(constant + _frobenius2(t))
+        traces.append(part.dim * r.shape[3] + _frobenius2(t))
     return traces[0], traces[1], tuple(stacks) if work is None else None
 
 
@@ -226,14 +239,13 @@ def _gradients(a0: np.ndarray, t0: np.ndarray, a1: np.ndarray, t1: np.ndarray,
     rearrangement ``A``, ``d||T||^2 = 4 Re tr((T A)^dag dA)``, so in the
     convention ``de = Re tr(G^dag dU)`` the gradient is
     ``G = -4 C_{d1} C_{d2} (R0^-1(T0 A0) + R1^-1(T1 A1))``, where ``R^-1``
-    undoes each rearrangement.  Returns ``(N, n, n)``.
+    undoes each rearrangement of ``_REARRANGEMENTS`` by its entry of
+    ``_UNDO``.  Returns ``(N, n, n)``.
     """
-    d1, d2 = part.d1, part.d2
-    n = a0.shape[0]
-    g0 = (t0 @ a0).reshape(n, d1, d1, d2, d2).transpose(0, 1, 3, 2, 4)
-    g1 = (t1 @ a1).reshape(n, d2, d1, d1, d2).transpose(0, 3, 1, 2, 4)
-    grad = -4.0 * _c(d1) * _c(d2) * (g0 + g1)
-    return grad.reshape(n, part.dim, part.dim)
+    shape = _gate_shape(len(a0), part)
+    g0, g1 = ((t @ a).reshape([shape[i] for i in axes]).transpose(undo)
+              for axes, undo, a, t in zip(_REARRANGEMENTS, _UNDO, (a0, a1), (t0, t1)))
+    return (-4.0 * _c(part.d1) * _c(part.d2) * (g0 + g1)).reshape(len(a0), part.dim, part.dim)
 
 
 def _report(value: float, i0: float, i1: float, part: Bipartition, method: str,

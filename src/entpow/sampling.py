@@ -81,36 +81,41 @@ def haar_unitary(n: int, seed: SeedSpec) -> np.ndarray:
     Uses the Ginibre recipe: fill with independent standard complex Gaussians,
     QR-factorize, and absorb the phases of the triangular factor's diagonal so
     the distribution is exactly invariant under fixed unitary multiplication.
+    It is the stack of one that :func:`_haar_unitary_from` draws from
+    ``seed``'s generator.
     """
     if n < 1:
         raise DimensionError(f"unitary dimension must be >= 1, got {n}")
     if n > DEFAULT_DIM_CAP:
         raise DimensionError(f"unitary dimension {n} exceeds the cap of {DEFAULT_DIM_CAP}")
-    return _haar_unitary_from(seed.generator(), n)
+    return _haar_unitary_from([(seed.generator(), 1)], n)[0]
 
 
-def _haar_unitary_from(rng: np.random.Generator, n: int, count: int | None = None,
-                       work: tuple | None = None) -> np.ndarray:
-    """One ``(n, n)`` Haar unitary, or a ``(count, n, n)`` stack of them, from ``rng``.
+def _haar_unitary_from(draws, n: int, work: tuple | None = None) -> np.ndarray:
+    """A stack of Haar unitaries drawn by ``(generator, count)`` pairs, taken in order.
 
-    Each matrix takes its real then its imaginary Gaussian block from the
-    stream, so a stack of ``count`` equals ``count`` successive single draws
-    bit for bit.  The phases are multiplied into ``q`` in place.  ``work``, a
-    flat float array of at least ``2 count n^2`` entries and a flat complex one
-    of at least ``count n^2``, takes the Gaussians and the matrix fed to the QR,
-    so only the QR's outputs are allocated; without it the Gaussian block is
-    freed before the QR, to keep the working set small.
+    Each pair's generator draws its ``count`` matrices one after another, and
+    each matrix takes its real then its imaginary Gaussian block, so the
+    ``(count, n, n)`` stack (``count`` summed over the pairs) equals
+    successive stacks of one bit for bit, whichever generators the pairs
+    hold.  The Gaussians are scaled by ``1 / sqrt 2`` into the real and the
+    imaginary part of the matrices (the bits of a complex division by
+    ``sqrt 2``); one QR of the whole stack follows, and the phases are
+    multiplied into ``q`` in place.  ``work``, a flat float array of at least
+    ``2 count n^2`` entries and a flat complex one of at least ``count n^2``,
+    takes the Gaussians and the matrices fed to the QR, so only the QR's
+    outputs are allocated; without it both are allocated.
     """
-    shape = (2, n, n) if count is None else (count, 2, n, n)
-    if work is None:
-        g = rng.standard_normal(shape)
-        z = np.empty(shape[:-3] + (n, n), dtype=complex)
-    else:
-        g = rng.standard_normal(out=_leading(work[0], shape))
-        z = _leading(work[1], shape[:-3] + (n, n))
-    z.real, z.imag = g[..., 0, :, :], g[..., 1, :, :]
-    del g
-    np.divide(z, np.sqrt(2.0), out=z)
+    count = sum(k for _, k in draws)
+    gauss, mats = work or (np.empty(2 * count * n * n), np.empty(count * n * n, dtype=complex))
+    g, z = _leading(gauss, (count, 2, n, n)), _leading(mats, (count, n, n))
+    start = 0
+    for rng, k in draws:
+        rng.standard_normal(out=g[start:start + k])
+        start += k
+    scale = 1.0 / np.sqrt(2.0)
+    np.multiply(g[:, 0], scale, out=z.real)
+    np.multiply(g[:, 1], scale, out=z.imag)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (d / np.abs(d))[..., None, :]

@@ -21,9 +21,10 @@ when its next window would try a step below ``2^MIN_STEP_EXPONENT``, when
 Groups: restart ``r`` starts from seed substream ``r``.  Restarts advance in
 lockstep, in groups of ``substack_size(d1 d2)`` (:mod:`entpow.power`) taken
 in restart order, so a group's window stack holds at most ``3 * 8192``
-entries; from ``d1 d2 = 65`` on, a group is one restart.  Each iteration takes
-one batched ``eigh`` and one window evaluation for the group's running
-restarts, and a gradient is taken only at each start and each accepted step.
+entries; from ``d1 d2 = 65`` on, a group is one restart.  A group's starts
+are drawn in one stacked call.  Each iteration takes one batched ``eigh`` and
+one window evaluation for the group's running restarts, and a gradient is
+taken only at each start and each accepted step.
 Every operation acts on each restart's slice alone, so the result is that of
 running the restarts one after another, bit for bit: it depends neither on the
 grouping nor, since both searches run on the calling thread alone, on the
@@ -125,11 +126,14 @@ def maximize_ep(part: Bipartition, seed: SeedSpec, restarts: int = 16,
                 max_iters: int = 4000) -> OptimizeResult:
     """Maximize entangling power over U(d1*d2) by restarted gradient ascent.
 
-    Deterministic for given arguments: restart ``r`` draws from seed substream
-    ``r``, so a run consumes streams ``seed.stream_index`` to
+    Deterministic for given arguments: restart ``r`` draws its start from seed
+    substream ``r``, so a run consumes streams ``seed.stream_index`` to
     ``seed.stream_index + restarts - 1`` (for independent runs use distinct
-    master seeds).  ``max_iters`` caps the windows of each restart; the
-    window, stop and group rules are in the module docstring.  The best gate
+    master seeds).  A group's starts are one :func:`_haar_unitary_from` call,
+    one ``(generator, 1)`` pair per restart, so one QR per group; each start
+    equals its restart's single draw bit for bit.  ``max_iters`` caps the
+    windows of each restart; the window, stop and group rules are in the
+    module docstring.  The best gate
     is that of the first restart to reach the maximum, and the trace records
     every new best at its global iteration.  Every evaluated candidate is a
     valid unitary, so the best value respects the analytic upper bound.  The
@@ -143,8 +147,8 @@ def maximize_ep(part: Bipartition, seed: SeedSpec, restarts: int = 16,
     trace: list[tuple[int, float]] = []
     offset = 0
     for first in range(0, restarts, group):
-        starts = np.stack([_haar_unitary_from(seed.substream(r).generator(), n)
-                           for r in range(first, min(first + group, restarts))])
+        starts = _haar_unitary_from([(seed.substream(r).generator(), 1)
+                                     for r in range(first, min(first + group, restarts))], n)
         for u, local, iterations in zip(*_lockstep_ascent(part, starts, max_iters)):
             for it, v in local:
                 if v > best_val:

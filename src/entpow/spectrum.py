@@ -90,10 +90,12 @@ def _haar_values(part: Bipartition, n_samples: int, seed: SeedSpec) -> np.ndarra
     helper threads take block indices in turn from one counter; the draws and
     Gram products are LAPACK/BLAS calls that release the GIL, so the threads
     overlap.  Each thread allocates one sub-stack's buffers once and draws and
-    evaluates every sub-stack in them: the Gaussians, reused for the
-    conjugates; the matrices fed to the QR, reused for ``A0`` and then ``A1``;
-    and one Gram buffer for ``T0`` and then ``T1``, of ``max(n^2, d1^4)``
-    entries per gate.  Only the QR's outputs are allocated per sub-stack.
+    evaluates every sub-stack in them: a sub-stack is one
+    :func:`_haar_unitary_from` call with the block's one ``(generator,
+    count)`` pair.  The buffers are the Gaussians, reused for the conjugates;
+    the matrices fed to the QR, reused for ``A0`` and then ``A1``; and one
+    Gram buffer for ``T0`` and then ``T1``, of ``max(n^2, d1^4)`` entries per
+    gate.  Only the QR's outputs are allocated per sub-stack.
     Blocks are concatenated in stream order, so the values do not depend on
     the number of CPUs.  Once a block raises, no thread starts another, and
     the first exception is re-raised after every helper is joined.
@@ -116,7 +118,7 @@ def _haar_values(part: Bipartition, n_samples: int, seed: SeedSpec) -> np.ndarra
                     return
                 rng, count = seed.substream(b).generator(), sizes[b]
                 blocks[b] = np.concatenate([
-                    ep_values(_haar_unitary_from(rng, n, min(substack, count - start), (gauss, mats)),
+                    ep_values(_haar_unitary_from([(rng, min(substack, count - start))], n, (gauss, mats)),
                               part, (gauss.view(complex), mats, grams))
                     for start in range(0, count, substack)])
         except BaseException as exc:     # re-raised by the calling thread below

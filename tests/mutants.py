@@ -65,18 +65,27 @@ MUTATIONS = [
      "if part.dim > DENSE_ORACLE_MAX_DIM:", "if part.dim >= DENSE_ORACLE_MAX_DIM:"),
     ("power", "Monte Carlo accepts one sample",
      "if n_samples < 2:", "if n_samples < 1:"),
-    ("power", "I0 constant uses d1 twice",
-     "d1 * d1, d1 * d2 * d2)", "d1 * d1, d1 * d2 * d1)"),
+    ("power", "trace constants take the row factor, so I0's uses d1 twice",
+     "part.dim * r.shape[3]", "part.dim * r.shape[1]"),
+    ("power", "gradient undoes the rearrangements by their forward axes",
+     ".transpose(undo)", ".transpose(axes)"),
     ("power", "ep_on_states accepts an empty list",
      "    if not states:\n", "    if False:\n"),
     ("sampling", "Haar phase fix dropped",
      "q *= (d / np.abs(d))[..., None, :]", "q *= 1"),
+    ("sampling", "Gaussians scaled by sqrt 2",
+     "scale = 1.0 / np.sqrt(2.0)", "scale = np.sqrt(2.0)"),
+    ("sampling", "imaginary part read from the real Gaussian block",
+     "np.multiply(g[:, 1], scale, out=z.imag)", "np.multiply(g[:, 0], scale, out=z.imag)"),
     ("sampling", "block_sizes gives the extra samples to the last blocks",
      "(1 if b < extra else 0)", "(1 if b >= blocks - extra else 0)"),
     ("sampling", "master seed range 65 bits",
      "self.master_seed < 2**64", "self.master_seed < 2**65"),
     ("sampling", "one stream block fewer",
      "blocks = min(NUM_STREAM_BLOCKS, n_samples)", "blocks = min(NUM_STREAM_BLOCKS - 1, n_samples)"),
+    ("search", "restart generators taken out of order",
+     "for r in range(first, min(first + group, restarts))]",
+     "for r in reversed(range(first, min(first + group, restarts)))]"),
     ("search", "floor stop one step early",
      "centre - 1 >= MIN_STEP_EXPONENT", "centre - 2 >= MIN_STEP_EXPONENT"),
     ("search", "failed window drops the steps by 2",

@@ -1,5 +1,6 @@
 import json
 import re
+import types
 
 import numpy as np
 import pytest
@@ -199,6 +200,16 @@ class TestGateFiles:
         path = tmp_path / "gate.json"
         save_gate(g, path)
         assert np.array_equal(load_gate(path).matrix, g.matrix)
+
+    def test_file_bytes_are_the_per_entry_formatting(self, tmp_path):
+        # signed zeros, subnormals and 1e308 are written as float's own repr writes them
+        matrix = np.array([[complex(-0.0, 5e-324), complex(1e308, -0.0)],
+                           [complex(0.1, -1e308), complex(-2.5e-310, 0.0)]])
+        path = tmp_path / "gate.json"
+        save_gate(types.SimpleNamespace(d1=1, d2=2, matrix=matrix), path)
+        per_entry = [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+        assert path.read_text() == json.dumps({"d1": 1, "d2": 2, "matrix": per_entry})
+        assert "-0.0" in path.read_text() and "5e-324" in path.read_text()
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

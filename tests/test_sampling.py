@@ -133,26 +133,30 @@ def per_matrix_draw(rng, n):
     return q * (d / np.abs(d))
 
 
-class TestStackedHaarDraw:
-    @pytest.mark.parametrize("n", [1, 2, 4, 6, 9, 12])
-    def test_stack_equals_successive_draws(self, n):
-        # two sub-stacks of 5 and 3 from one stream, then a single draw
-        rng = SeedSpec(61, n).generator()
-        stacked = np.concatenate([_haar_unitary_from(rng, n, 5), _haar_unitary_from(rng, n, 3),
-                                  _haar_unitary_from(rng, n)[None]])
-        ref_rng = SeedSpec(61, n).generator()
-        singles = np.stack([per_matrix_draw(ref_rng, n) for _ in range(9)])
-        assert stacked.shape == (9, n, n)
-        assert_array_equal(stacked, singles)
-        assert_array_equal(stacked[0], haar_unitary(n, SeedSpec(61, n)))
+#: ways to draw a stack of 9: lists of calls, each a list of (stream, count) pairs.
+#: Pairs that name one stream share its generator: one stream over three calls, and
+#: one call over streams of their own, as the optimizer draws its starts
+DRAW_PLANS = [[[(0, 5)], [(0, 3)], [(0, 1)]],
+              [[(0, 1), (1, 1), (2, 1), (3, 2), (4, 4)]]]
 
-    def test_single_draw_is_two_dimensional(self):
-        rng = SeedSpec(62).generator()
-        assert _haar_unitary_from(rng, 3).shape == (3, 3)
-        assert _haar_unitary_from(rng, 3, 1).shape == (1, 3, 3)
+
+class TestStackedHaarDraw:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_stack_equals_successive_draws(self, n):
+        for plan in DRAW_PLANS:
+            streams = {s for call in plan for s, _ in call}
+            rngs = {s: SeedSpec(61 + s, n).generator() for s in streams}
+            stacked = np.concatenate([_haar_unitary_from([(rngs[s], count) for s, count in call], n)
+                                      for call in plan])
+            ref_rngs = {s: SeedSpec(61 + s, n).generator() for s in streams}
+            singles = np.stack([per_matrix_draw(ref_rngs[s], n)
+                                for call in plan for s, count in call for _ in range(count)])
+            assert stacked.shape == (9, n, n)
+            assert_array_equal(stacked, singles)
+            assert_array_equal(stacked[0], haar_unitary(n, SeedSpec(61, n)))
 
     def test_stack_is_unitary(self):
-        u = _haar_unitary_from(SeedSpec(63).generator(), 5, 20)
+        u = _haar_unitary_from([(SeedSpec(63).generator(), 20)], 5)
         assert np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(5)).max() < 1e-12
 
 

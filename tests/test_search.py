@@ -7,7 +7,7 @@ import pytest
 import entpow.power
 import entpow.search
 from entpow import (Bipartition, ResourceLimitError, SeedSpec,
-                    ValidationError, ep_closed, ep_value, exhaustive_permutation_max,
+                    ValidationError, ep_closed, ep_value, exhaustive_permutation_max, haar_unitary,
                     make_additive_permutation, make_basis_permutation, make_cnot,
                     maximize_ep, upper_bound)
 from entpow.power import _gradients, _i0_i1, ep_values, substack_size
@@ -77,14 +77,14 @@ class TestMaximizeEp:
         preset = iter(mats)
         seen = []
 
-        def fake_draw(rng, n):
-            seen.append((rng.random(), n))
-            return np.array(next(preset), dtype=complex)
+        def fake_draw(draws, n):
+            seen.extend((rng.random(), count, n) for rng, count in draws)
+            return np.array([next(preset) for _ in draws], dtype=complex)
 
         monkeypatch.setattr(entpow.search, "_haar_unitary_from", fake_draw)
         res = maximize_ep(P22, SeedSpec(0), restarts=3, max_iters=9)
-        # restart r starts from seed substream r
-        assert seen == [(SeedSpec(0).substream(r).generator().random(), 4) for r in range(3)]
+        # restart r starts from one matrix of seed substream r
+        assert seen == [(SeedSpec(0).substream(r).generator().random(), 1, 4) for r in range(3)]
         cnot = ep_value(mats[1], P22)
         assert ep_value(mats[2], P22) == cnot
         assert res.best_value == cnot
@@ -154,7 +154,7 @@ def sequential_maximize(part, seed, restarts, max_iters):
     """
     best_val, best_matrix, trace, offset, accepted_exponents = -math.inf, None, [], 0, []
     for r in range(restarts):
-        u = _haar_unitary_from(seed.substream(r).generator(), part.dim)
+        u = _haar_unitary_from([(seed.substream(r).generator(), 1)], part.dim)[0]
         val = ep_value(u, part)
         local, c = [(0, val)], 0
         for steps in range(1, max_iters + 1):
@@ -237,6 +237,29 @@ class TestLockstep:
         sizes = record_groups(monkeypatch)
         assert fingerprint(maximize_ep(part, SeedSpec(5), 5, 400)) == fingerprint(together)
         assert sizes == [1] * 5
+
+    @pytest.mark.parametrize("part", [P22, Bipartition(2, 3), Bipartition(2, 4), Bipartition(1, 3)],
+                             ids=str)
+    def test_a_group_draws_its_starts_in_one_call(self, part, monkeypatch):
+        # each restart keeps its own stream, so a group's starts are the per-restart draws
+        calls, starts = [], []
+        real_draw, real_ascent = entpow.search._haar_unitary_from, entpow.search._lockstep_ascent
+
+        def drawing(draws, n):
+            calls.append(len(draws))
+            return real_draw(draws, n)
+
+        def ascending(part, group, max_iters):
+            starts.append(group.copy())
+            return real_ascent(part, group, max_iters)
+
+        monkeypatch.setattr(entpow.search, "_haar_unitary_from", drawing)
+        monkeypatch.setattr(entpow.search, "_lockstep_ascent", ascending)
+        monkeypatch.setattr(entpow.power, "_SUBSTACK_ENTRIES", 3 * part.dim ** 2)   # groups of 3
+        maximize_ep(part, SeedSpec(9), 7, 5)
+        assert calls == [3, 3, 1]
+        singles = [haar_unitary(part.dim, SeedSpec(9).substream(r)) for r in range(7)]
+        assert np.array_equal(np.concatenate(starts), singles)
 
     def test_group_size_bounds_the_ladder_stack(self, monkeypatch):
         sizes = record_groups(monkeypatch)
