@@ -6,11 +6,24 @@ a given build.  Distinct stream indices yield statistically independent
 streams (counter-based Philox keyed through ``numpy.random.SeedSequence``), so
 Monte Carlo loops split their samples over a fixed set of streams and stay
 deterministic.
+
+Haar unitaries are drawn by Stewart's recipe (SIAM J. Numer. Anal. 17, 403
+(1980)): ``n`` Householder reflectors, each from a fresh standard complex
+Gaussian vector, multiplied out by LAPACK's ``zungqr`` and fixed by the signs
+of the reflected norms.  Householder QR of a Ginibre matrix meets exactly such
+vectors column by column, so the law is the Haar law of Mezzadri's QR recipe
+(Notices AMS 54, 592 (2007)), which this package used before, from half the
+Gaussians and no QR factorization.  Every output drawn from Haar unitaries
+(``dist``, ``optimize``'s starts, ``verify``'s random gates) changed once
+with it; ``mc`` and ``haar_state`` draw no unitary and did not change.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+# the batched zungqr np.linalg.qr calls for Q: on a QR's reflectors it returns that Q bit for bit
+from numpy.linalg._umath_linalg import qr_reduced
 
 from .errors import DimensionError, ValidationError
 from .tensorops import DEFAULT_DIM_CAP, Bipartition, _is_integer, _leading
@@ -78,11 +91,13 @@ def haar_state(d: int, seed: SeedSpec) -> np.ndarray:
 def haar_unitary(n: int, seed: SeedSpec) -> np.ndarray:
     """An ``n x n`` unitary drawn from the Haar measure on U(n).
 
-    Uses the Ginibre recipe: fill with independent standard complex Gaussians,
-    QR-factorize, and absorb the phases of the triangular factor's diagonal so
-    the distribution is exactly invariant under fixed unitary multiplication.
-    It is the stack of one that :func:`_haar_unitary_from` draws from
-    ``seed``'s generator.
+    Uses Stewart's recipe (SIAM J. Numer. Anal. 17, 403 (1980); see the module
+    docstring): a product of ``n`` Householder reflectors of fresh complex
+    Gaussian vectors, with each column multiplied by the sign of its reflected
+    norm, so the distribution is exactly invariant under fixed unitary
+    multiplication.  It replaced Mezzadri's QR recipe, so a seed draws another
+    matrix than it did before.  It is the stack of one that
+    :func:`_haar_unitary_from` draws from ``seed``'s generator.
     """
     if n < 1:
         raise DimensionError(f"unitary dimension must be >= 1, got {n}")
@@ -91,34 +106,65 @@ def haar_unitary(n: int, seed: SeedSpec) -> np.ndarray:
     return _haar_unitary_from([(seed.generator(), 1)], n)[0]
 
 
+@functools.lru_cache(maxsize=4)    # a dist or optimize run draws at one size
+def _lower_triangle(n: int):
+    """Index arrays for the ``n x n`` lower triangle in ``np.tril_indices`` order.
+
+    Its rows and columns, the positions in that order of its diagonal and of
+    its strict part, and the strict part's columns and flat matrix indices.
+    """
+    rows, cols = np.tril_indices(n)
+    diagonal, below = np.flatnonzero(rows == cols), np.flatnonzero(rows > cols)
+    return rows, cols, diagonal, below, cols[below], rows[below] * n + cols[below]
+
+
 def _haar_unitary_from(draws, n: int, work: tuple | None = None) -> np.ndarray:
     """A stack of Haar unitaries drawn by ``(generator, count)`` pairs, taken in order.
 
     Each pair's generator draws its ``count`` matrices one after another, and
-    each matrix takes its real then its imaginary Gaussian block, so the
-    ``(count, n, n)`` stack (``count`` summed over the pairs) equals
+    each matrix takes ``n(n+1)/2`` real then ``n(n+1)/2`` imaginary Gaussians,
+    so the ``(count, n, n)`` stack (``count`` summed over the pairs) equals
     successive stacks of one bit for bit, whichever generators the pairs
-    hold.  The Gaussians are scaled by ``1 / sqrt 2`` into the real and the
-    imaginary part of the matrices (the bits of a complex division by
-    ``sqrt 2``); one QR of the whole stack follows, and the phases are
-    multiplied into ``q`` in place.  ``work``, a flat float array of at least
-    ``2 count n^2`` entries and a flat complex one of at least ``count n^2``,
-    takes the Gaussians and the matrices fed to the QR, so only the QR's
-    outputs are allocated; without it both are allocated.
+    hold.  Scaled by ``1 / sqrt 2`` (the bits of a complex division by
+    ``sqrt 2``), they fill a lower triangle ``x`` in ``np.tril_indices``
+    order, whose column ``j`` from the diagonal down is the Gaussian vector of
+    reflector ``j`` (Stewart's recipe, SIAM J. Numer. Anal. 17, 403 (1980),
+    which replaced Mezzadri's QR; see the module docstring).  The
+    reflectors follow LAPACK ``zlarfg``: ``alpha = x_jj``, ``beta =
+    -copysign(|x_j|, Re alpha)``, ``tau = (beta - alpha) / beta`` and, below
+    the diagonal, ``v = x_j * (1 / (alpha - beta))``; ``|x_j|^2`` adds the
+    squared parts down the column in row order.  One ``zungqr`` of the whole
+    stack multiplies the reflectors out, and column ``j`` is multiplied by
+    ``sign(beta_j)`` in place.  ``work``, a flat float array of at least
+    ``count n(n+1)`` entries and a flat complex one of at least
+    ``count n^2``, takes the Gaussians and the reflectors fed to ``zungqr``,
+    which reads only their strict lower triangle; without it both are
+    allocated.  ``dist``'s Gaussian buffer holds ``2 count n^2`` floats, of
+    which the draw uses ``count n(n+1)``: :func:`ep_values` needs them all
+    for its conjugates.
     """
     count = sum(k for _, k in draws)
-    gauss, mats = work or (np.empty(2 * count * n * n), np.empty(count * n * n, dtype=complex))
-    g, z = _leading(gauss, (count, 2, n, n)), _leading(mats, (count, n, n))
+    m = n * (n + 1) // 2
+    gauss, mats = work or (np.empty(2 * count * m), np.empty(count * n * n, dtype=complex))
+    g, h = _leading(gauss, (count, 2, m)), _leading(mats, (count, n, n))
     start = 0
     for rng, k in draws:
         rng.standard_normal(out=g[start:start + k])
         start += k
     scale = 1.0 / np.sqrt(2.0)
-    np.multiply(g[:, 0], scale, out=z.real)
-    np.multiply(g[:, 1], scale, out=z.imag)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    q *= (d / np.abs(d))[..., None, :]
+    x = np.empty((count, m), dtype=complex)
+    np.multiply(g[:, 0], scale, out=x.real)
+    np.multiply(g[:, 1], scale, out=x.imag)
+    rows, cols, diagonal, below, below_cols, below_flat = _lower_triangle(n)
+    # squares[i, :, j] = |x_ij|^2 on the lower triangle and 0 above it; the sum over i adds one
+    # row at a time, so each column sums from the diagonal down
+    squares = np.zeros((n, count, n))
+    squares[rows, :, cols] = (x.real ** 2 + x.imag ** 2).T
+    alpha = x[:, diagonal]
+    beta = -np.copysign(np.sqrt(squares.sum(axis=0)), alpha.real)
+    h.reshape(count, n * n)[:, below_flat] = x[:, below] * (1 / (alpha - beta))[:, below_cols]
+    q = qr_reduced(h, (beta - alpha) / beta)
+    q *= np.sign(beta)[:, None, :]
     return q
 
 

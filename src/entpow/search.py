@@ -22,9 +22,11 @@ Groups: restart ``r`` starts from seed substream ``r``.  Restarts advance in
 lockstep, in groups of ``substack_size(d1 d2)`` (:mod:`entpow.power`) taken
 in restart order, so a group's window stack holds at most ``3 * 8192``
 entries; from ``d1 d2 = 65`` on, a group is one restart.  A group's starts
-are drawn in one stacked call.  Each iteration takes one batched ``eigh`` and
-one window evaluation for the group's running restarts, and a gradient is
-taken only at each start and each accepted step.
+are Haar unitaries drawn in one stacked call, by Stewart's Householder recipe
+(:mod:`entpow.sampling`), so one ``zungqr`` per group; every ``optimize``
+output changed once when that recipe replaced Mezzadri's QR.  Each iteration
+takes one batched ``eigh`` and one window evaluation for the group's running
+restarts, and a gradient is taken only at each start and each accepted step.
 Every operation acts on each restart's slice alone, so the result is that of
 running the restarts one after another, bit for bit: it depends neither on the
 grouping nor, since both searches run on the calling thread alone, on the
@@ -130,8 +132,9 @@ def maximize_ep(part: Bipartition, seed: SeedSpec, restarts: int = 16,
     substream ``r``, so a run consumes streams ``seed.stream_index`` to
     ``seed.stream_index + restarts - 1`` (for independent runs use distinct
     master seeds).  A group's starts are one :func:`_haar_unitary_from` call,
-    one ``(generator, 1)`` pair per restart, so one QR per group; each start
-    equals its restart's single draw bit for bit.  ``max_iters`` caps the
+    one ``(generator, 1)`` pair per restart, so one ``zungqr`` per group
+    (Stewart's recipe, in :mod:`entpow.sampling`); each start equals its
+    restart's single draw bit for bit.  ``max_iters`` caps the
     windows of each restart; the window, stop and group rules are in the
     module docstring.  The best gate
     is that of the first restart to reach the maximum, and the trace records

@@ -92,10 +92,15 @@ def _haar_values(part: Bipartition, n_samples: int, seed: SeedSpec) -> np.ndarra
     overlap.  Each thread allocates one sub-stack's buffers once and draws and
     evaluates every sub-stack in them: a sub-stack is one
     :func:`_haar_unitary_from` call with the block's one ``(generator,
-    count)`` pair.  The buffers are the Gaussians, reused for the conjugates;
-    the matrices fed to the QR, reused for ``A0`` and then ``A1``; and one
-    Gram buffer for ``T0`` and then ``T1``, of ``max(n^2, d1^4)`` entries per
-    gate.  Only the QR's outputs are allocated per sub-stack.
+    count)`` pair, which draws each gate by Stewart's Householder recipe
+    (:mod:`entpow.sampling`; it replaced Mezzadri's QR, and every ``dist``
+    output changed once with it) in one ``zungqr`` per sub-stack.  The
+    buffers are the Gaussians, of which the draw uses ``n(n+1)`` per gate and
+    the conjugates all ``2 n^2``; the reflectors fed to ``zungqr``, reused for
+    ``A0`` and then ``A1``; and one Gram buffer for ``T0`` and then ``T1``, of
+    ``max(n^2, d1^4)`` entries per gate.  Per sub-stack, only the draw's
+    output and its temporaries, of at most ``n^2`` entries per gate each, are
+    allocated.
     Blocks are concatenated in stream order, so the values do not depend on
     the number of CPUs.  Once a block raises, no thread starts another, and
     the first exception is re-raised after every helper is joined.

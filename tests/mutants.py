@@ -71,12 +71,20 @@ MUTATIONS = [
      ".transpose(undo)", ".transpose(axes)"),
     ("power", "ep_on_states accepts an empty list",
      "    if not states:\n", "    if False:\n"),
-    ("sampling", "Haar phase fix dropped",
-     "q *= (d / np.abs(d))[..., None, :]", "q *= 1"),
+    ("sampling", "Haar sign fix multiplies rows",
+     "q *= np.sign(beta)[:, None, :]", "q *= np.sign(beta)[:, :, None]"),
+    ("sampling", "Haar sign fix dropped",
+     "q *= np.sign(beta)[:, None, :]", "q *= 1"),
     ("sampling", "Gaussians scaled by sqrt 2",
      "scale = 1.0 / np.sqrt(2.0)", "scale = np.sqrt(2.0)"),
     ("sampling", "imaginary part read from the real Gaussian block",
-     "np.multiply(g[:, 1], scale, out=z.imag)", "np.multiply(g[:, 0], scale, out=z.imag)"),
+     "np.multiply(g[:, 1], scale, out=x.imag)", "np.multiply(g[:, 0], scale, out=x.imag)"),
+    ("sampling", "reflected norm beta takes the sign of Re alpha",
+     "beta = -np.copysign(", "beta = np.copysign("),
+    ("sampling", "tau conjugated, so zungqr multiplies the reflectors' adjoints",
+     "qr_reduced(h, (beta - alpha) / beta)", "qr_reduced(h, (beta - alpha.conj()) / beta)"),
+    ("sampling", "Gaussians fill the lower triangle column by column",
+     "rows, cols = np.tril_indices(n)", "cols, rows = np.triu_indices(n)"),
     ("sampling", "block_sizes gives the extra samples to the last blocks",
      "(1 if b < extra else 0)", "(1 if b >= blocks - extra else 0)"),
     ("sampling", "master seed range 65 bits",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.linalg._umath_linalg import qr_reduced
 from numpy.testing import assert_allclose, assert_array_equal
 
 from entpow import Bipartition, DimensionError, SeedSpec, ValidationError, haar_state, haar_unitary, kron, linear_entropy
@@ -126,11 +127,17 @@ class TestHaarUnitary:
 
 
 def per_matrix_draw(rng, n):
-    """The one-matrix Ginibre recipe: real block, imaginary block, QR, phase fix."""
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    """The one-matrix Householder recipe: lower-triangle Gaussians, reflectors, zungqr, sign fix."""
+    rows, cols = np.tril_indices(n)
+    g = rng.standard_normal((2, len(rows)))
+    z = np.zeros((n, n), dtype=complex)
+    z[rows, cols] = (g[0] + 1j * g[1]) / np.sqrt(2.0)
+    alpha = np.diagonal(z).copy()
+    # each column's squared norm adds its squared parts one at a time from the diagonal down
+    norms = np.sqrt([np.cumsum(z[j:, j].real ** 2 + z[j:, j].imag ** 2)[-1] for j in range(n)])
+    beta = -np.copysign(norms, alpha.real)
+    reflectors = np.tril(z, -1) * (1 / (alpha - beta))
+    return qr_reduced(reflectors, (beta - alpha) / beta) * np.sign(beta)
 
 
 #: ways to draw a stack of 9: lists of calls, each a list of (stream, count) pairs.
@@ -156,8 +163,63 @@ class TestStackedHaarDraw:
             assert_array_equal(stacked[0], haar_unitary(n, SeedSpec(61, n)))
 
     def test_stack_is_unitary(self):
-        u = _haar_unitary_from([(SeedSpec(63).generator(), 20)], 5)
-        assert np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(5)).max() < 1e-12
+        for n in range(1, 26):
+            u = _haar_unitary_from([(SeedSpec(63, n).generator(), 20)], n)
+            assert np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(n)).max() < 1e-12, n
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_draw_is_the_product_of_its_reflectors(self, n):
+        # Stewart's recipe written out: H_1 ... H_n diag(sign beta) from the same Gaussians,
+        # with the norms, reflectors and products formed by plain numpy
+        rng = SeedSpec(64, n).generator()
+        draw = haar_unitary(n, SeedSpec(64, n))
+        rows, cols = np.tril_indices(n)
+        g = rng.standard_normal((2, len(rows)))
+        x = np.zeros((n, n), dtype=complex)
+        x[rows, cols] = (g[0] + 1j * g[1]) / np.sqrt(2.0)
+        product, signs = np.eye(n, dtype=complex), np.empty(n)
+        for j in range(n):
+            alpha = x[j, j]
+            beta = -np.copysign(np.linalg.norm(x[j:, j]), alpha.real)
+            v = np.zeros(n, dtype=complex)
+            v[j], v[j + 1:] = 1.0, x[j + 1:, j] / (alpha - beta)
+            product = product @ (np.eye(n) - (beta - alpha) / beta * np.outer(v, v.conj()))
+            signs[j] = np.sign(beta)
+        assert np.abs(draw - product * signs).max() < 1e-13
+
+
+class TestHouseholderProduct:
+    """The one private numpy entry point the Haar draw rests on."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_qr_reduced_returns_the_qr_q(self, n):
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        h, tau = np.linalg.qr(z, mode="raw")
+        reflectors = h.swapaxes(-1, -2)
+        q = qr_reduced(reflectors, tau)
+        assert_array_equal(q, np.linalg.qr(z)[0])
+        # only the strict lower triangle is read, so a reused buffer needs no zeroing
+        overwritten = reflectors.copy()
+        upper = np.triu_indices(n)
+        overwritten[:, upper[0], upper[1]] = np.nan + 7j
+        assert_array_equal(qr_reduced(overwritten, tau), q)
+
+
+class TestHaarTraceMoments:
+    """``E|tr U|^2 = 1`` and ``E|tr U|^4 = 2`` for ``n >= 2``: unlike ``|U_00|``, the trace sees
+    the column signs, so these fail if the sign fix is dropped or misapplied."""
+
+    @pytest.mark.parametrize("n", [2, 4, 9, 12])
+    def test_trace_moments(self, n):
+        samples = 20_000
+        seed = SeedSpec(27)
+        u = np.concatenate([_haar_unitary_from([(seed.substream(b).generator(), samples // 20)], n)
+                            for b in range(20)])
+        t2 = np.abs(np.trace(u, axis1=1, axis2=2)) ** 2
+        for vals, oracle in ((t2, 1.0), (t2 ** 2, 2.0)):
+            # level fixed at 4 standard errors
+            assert abs(vals.mean() - oracle) < 4 * vals.std(ddof=1) / np.sqrt(samples)
 
 
 class TestProductStatePair:

@@ -17,6 +17,11 @@ from entpow.tensorops import permutation_matrix
 
 P22 = Bipartition(2, 2)
 
+#: the least master seed from 18 on whose five 2x2 restarts include a window that improves
+#: nothing (its restart 3 does, right after accepting 2^1, 2^2 and 2^3): failed windows are rare
+#: at 2x2, and two tests need one
+FAILED_WINDOW_SEED = SeedSpec(25)
+
 
 def quick_run(part, seed=7, restarts=4, iters=800):
     return maximize_ep(part, SeedSpec(seed), restarts, iters)
@@ -110,15 +115,16 @@ class TestMaximizeEp:
         assert abs(res.best_value - 1 / 3) < 1e-6
 
     def test_failed_window_keeps_the_matrix_and_lowers_the_steps(self, monkeypatch):
-        # at 2x2 from seed 18, the restart accepts steps 2^1, 2^2 and 2^3; its fourth
-        # window, 2^4, 2^3 and 2^2, improves nothing, so the fifth is 2^1, 2^0 and 2^-1
-        assert sequential_maximize(P22, SeedSpec(18), 1, 3)[4] == [1, 2, 3]
-        before = maximize_ep(P22, SeedSpec(18), restarts=1, max_iters=3)
-        after = maximize_ep(P22, SeedSpec(18), restarts=1, max_iters=4)
+        # at 2x2, restart 3 of seed 25 (FAILED_WINDOW_SEED) accepts steps 2^1, 2^2 and 2^3; its
+        # fourth window, 2^4, 2^3 and 2^2, improves nothing, so the fifth is 2^1, 2^0 and 2^-1
+        seed = FAILED_WINDOW_SEED.substream(3)
+        assert sequential_maximize(P22, seed, 1, 3)[4] == [1, 2, 3]
+        before = maximize_ep(P22, seed, restarts=1, max_iters=3)
+        after = maximize_ep(P22, seed, restarts=1, max_iters=4)
         assert fingerprint(after)[:3] == fingerprint(before)[:3]
         assert after.iterations_used == before.iterations_used + 1
         stacks = record_stacks(monkeypatch)
-        maximize_ep(P22, SeedSpec(18), restarts=1, max_iters=5)
+        maximize_ep(P22, seed, restarts=1, max_iters=5)
         u = before.best_gate.matrix
         gu = _gradients(*_i0_i1(u, P22)[2], P22)[0] @ u.conj().T
         w, v = np.linalg.eigh(-1j * (gu - gu.conj().T))
@@ -288,7 +294,7 @@ class TestLockstep:
         monkeypatch.setattr(entpow.search, "_gradients", counting)
         monkeypatch.setattr(entpow.search, "_lockstep_ascent", per_group)
         monkeypatch.setattr(entpow.power, "_SUBSTACK_ENTRIES", 2 * 16)   # 2x2: two per group
-        res = maximize_ep(P22, SeedSpec(18), restarts=5, max_iters=300)
+        res = maximize_ep(P22, FAILED_WINDOW_SEED, restarts=5, max_iters=300)
         assert rows == entries and len(rows) == 3
         assert sum(entries) < res.iterations_used   # some window improved nothing
 

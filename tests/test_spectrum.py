@@ -14,6 +14,7 @@ from entpow.sampling import block_sizes
 from entpow.power import substack_size
 from entpow.spectrum import _haar_values
 
+from test_sampling import per_matrix_draw
 from two_qubit import KS_CRITICAL_001, exact_bin_probabilities, exact_mean, ks_gap
 
 
@@ -68,10 +69,7 @@ def per_gate_values(part, n_samples, seed):
     for b, count in enumerate(block_sizes(n_samples)):
         rng = seed.substream(b).generator()
         for _ in range(count):
-            z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-            q, r = np.linalg.qr(z)
-            d = np.diagonal(r)
-            u = (q * (d / np.abs(d))).reshape(d1, d2, d1, d2)
+            u = per_matrix_draw(rng, n).reshape(d1, d2, d1, d2)
             t0 = np.tensordot(u, u.conj(), axes=([1, 3], [1, 3]))
             t1 = np.tensordot(u, u.conj(), axes=([0, 3], [0, 3]))
             i0 = d1 * d2 * d2 + float(np.vdot(t0, t0).real)
