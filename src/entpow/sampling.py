@@ -22,7 +22,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-# the batched zungqr np.linalg.qr calls for Q: on a QR's reflectors it returns that Q bit for bit
+# the batched zungqr that numpy's own QR calls for Q: on its reflectors it returns that Q bit for bit
 from numpy.linalg._umath_linalg import qr_reduced
 
 from .errors import DimensionError, ValidationError
