@@ -202,21 +202,25 @@ def ep_values(stack: np.ndarray, part: Bipartition, work: tuple | None = None) -
 
 #: matrix entries per sub-stack of matrices (see :func:`substack_size`); caps
 #: the working set without changing any value.  Larger sub-stacks mean fewer,
-#: longer GIL-free calls for the threads of ``dist``; the peak RSS bounds it.
-_SUBSTACK_ENTRIES = 8192
+#: longer GIL-free calls for the threads of ``dist``, whose sub-stacks
+#: allocate no working arrays; the peak RSS bounds it.
+_SUBSTACK_ENTRIES = 16384
 
 
 def substack_size(n: int) -> int:
-    """Number of ``(n, n)`` matrices in one sub-stack passed to :func:`ep_values`.
+    """Most ``(n, n)`` matrices in one sub-stack passed to :func:`ep_values`.
 
-    A sub-stack holds at most 8192 matrix entries.  ``dist`` draws and
-    evaluates one sub-stack at a time on each of its threads (one per CPU, up
-    to 64), in three buffers each thread allocates once: the Gaussians, the
-    matrices and the Grams, the last of ``max(n^2, d1^4)`` entries per gate.
-    So its working set is a few sub-stacks per thread; the values do not
-    depend on the number of CPUs.  Also the number of restarts in one lockstep
-    group of :func:`entpow.search.maximize_ep`, whose stack of three-step
-    windows then holds at most three times as many entries.
+    A sub-stack holds at most 16384 matrix entries.  ``dist`` splits each of
+    its blocks into the same number of equal sub-stacks, the fewest within
+    this size, and draws and evaluates one at a time on each of its threads
+    (one per CPU, up to 64), in four buffers each thread allocates once for
+    the largest sub-stack: the Gaussians, the matrices, the Grams (of
+    ``max(n^2, d1^4)`` entries per gate) and the draw's output.  So its
+    working set is a few sub-stacks per thread; the values do not depend on
+    the number of CPUs.  Also the number of restarts in one lockstep group of
+    :func:`entpow.search.maximize_ep`, whose stack of three-step windows then
+    holds at most three times as many entries, and the number of tables per
+    call of :func:`entpow.search.exhaustive_permutation_max`.
     """
     return max(1, _SUBSTACK_ENTRIES // (n * n))
 

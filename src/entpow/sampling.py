@@ -108,14 +108,8 @@ def haar_unitary(n: int, seed: SeedSpec) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)    # a dist or optimize run draws at one size
 def _lower_triangle(n: int):
-    """Index arrays for the ``n x n`` lower triangle in ``np.tril_indices`` order.
-
-    Its rows and columns, the positions in that order of its diagonal and of
-    its strict part, and the strict part's columns and flat matrix indices.
-    """
-    rows, cols = np.tril_indices(n)
-    diagonal, below = np.flatnonzero(rows == cols), np.flatnonzero(rows > cols)
-    return rows, cols, diagonal, below, cols[below], rows[below] * n + cols[below]
+    """Row and column index arrays of the ``n x n`` lower triangle, in ``np.tril_indices`` order."""
+    return np.tril_indices(n)
 
 
 def _haar_unitary_from(draws, n: int, work: tuple | None = None) -> np.ndarray:
@@ -126,46 +120,84 @@ def _haar_unitary_from(draws, n: int, work: tuple | None = None) -> np.ndarray:
     so the ``(count, n, n)`` stack (``count`` summed over the pairs) equals
     successive stacks of one bit for bit, whichever generators the pairs
     hold.  Scaled by ``1 / sqrt 2`` (the bits of a complex division by
-    ``sqrt 2``), they fill a lower triangle ``x`` in ``np.tril_indices``
-    order, whose column ``j`` from the diagonal down is the Gaussian vector of
-    reflector ``j`` (Stewart's recipe, SIAM J. Numer. Anal. 17, 403 (1980),
-    which replaced Mezzadri's QR; see the module docstring).  The
-    reflectors follow LAPACK ``zlarfg``: ``alpha = x_jj``, ``beta =
-    -copysign(|x_j|, Re alpha)``, ``tau = (beta - alpha) / beta`` and, below
-    the diagonal, ``v = x_j * (1 / (alpha - beta))``; ``|x_j|^2`` adds the
-    squared parts down the column in row order.  One ``zungqr`` of the whole
-    stack multiplies the reflectors out, and column ``j`` is multiplied by
-    ``sign(beta_j)`` in place.  ``work``, a flat float array of at least
-    ``count n(n+1)`` entries and a flat complex one of at least
-    ``count n^2``, takes the Gaussians and the reflectors fed to ``zungqr``,
-    which reads only their strict lower triangle; without it both are
-    allocated.  ``dist``'s Gaussian buffer holds ``2 count n^2`` floats, of
-    which the draw uses ``count n(n+1)``: :func:`ep_values` needs them all
-    for its conjugates.
+    ``sqrt 2``), they fill the lower triangle of a zeroed stack ``x`` in
+    ``np.tril_indices`` order; column ``j`` of a matrix, from the diagonal
+    down, is the Gaussian vector of reflector ``j`` (Stewart's recipe, SIAM
+    J. Numer. Anal. 17, 403 (1980), which replaced Mezzadri's QR; see the
+    module docstring).  The reflectors follow LAPACK ``zlarfg``: ``alpha =
+    x_jj``, ``beta = -copysign(|x_j|, Re alpha)``, ``tau = (beta - alpha) /
+    beta`` and, below the diagonal, ``v = x_j * (1 / (alpha - beta))``;
+    ``|x_j|^2`` adds the squared parts down the column in row order.  One
+    ``zungqr`` of the whole stack multiplies the reflectors out, and column
+    ``j`` is multiplied by ``sign(beta_j)`` in place.
+
+    ``work`` is the draw's memory: four flat arrays of at least ``count n^2``
+    entries, the first of ``2 count n^2`` floats and the others complex.
+    Each takes, in turn, only what no later step reads from it again:
+
+    - the float slot: the Gaussians, then the squared imaginary parts, then
+      ``beta`` (as complex numbers with zero imaginary parts) and, in place,
+      its signs;
+    - the first complex slot: ``x``, held row by row across the stack as an
+      ``(n, count, n)`` array and scaled in place into the reflectors, of
+      which ``zungqr`` reads only the strict lower triangle; then the signs,
+      repeated down each column;
+    - the second: ``tau``;
+    - the third: the squared real parts, as an ``(n, count, n)`` float array
+      to which the imaginary ones are added and which is summed over its
+      first axis; then ``alpha``, turned in place into ``1 / (alpha -
+      beta)``; then ``zungqr``'s output, which is returned.
+
+    A ufunc buffers any operand it has to cast or cannot read in one stride,
+    up to 8192 entries; hence the complex ``beta``, the copied ``alpha``,
+    the rows scaled one at a time and the repeated signs.  So a call
+    allocates no array of ``count n`` or more entries, and the values do not
+    depend on the slots' earlier contents.  Without ``work`` the four slots
+    are allocated.  ``dist`` passes larger slots: its Gram buffer, the second
+    complex slot, holds ``max(n^2, d1^4)`` entries per gate, and
+    :func:`ep_values` takes the float slot for its conjugates.
     """
     count = sum(k for _, k in draws)
+    gauss, mats, grams, out = work or (np.empty(2 * count * n * n),
+                                       *(np.empty(count * n * n, dtype=complex) for _ in range(3)))
     m = n * (n + 1) // 2
-    gauss, mats = work or (np.empty(2 * count * m), np.empty(count * n * n, dtype=complex))
-    g, h = _leading(gauss, (count, 2, m)), _leading(mats, (count, n, n))
+    g, x = _leading(gauss, (count, 2, m)), _leading(mats, (n, count, n))
     start = 0
     for rng, k in draws:
         rng.standard_normal(out=g[start:start + k])
         start += k
-    scale = 1.0 / np.sqrt(2.0)
-    x = np.empty((count, m), dtype=complex)
-    np.multiply(g[:, 0], scale, out=x.real)
-    np.multiply(g[:, 1], scale, out=x.imag)
-    rows, cols, diagonal, below, below_cols, below_flat = _lower_triangle(n)
-    # squares[i, :, j] = |x_ij|^2 on the lower triangle and 0 above it; the sum over i adds one
-    # row at a time, so each column sums from the diagonal down
-    squares = np.zeros((n, count, n))
-    squares[rows, :, cols] = (x.real ** 2 + x.imag ** 2).T
-    alpha = x[:, diagonal]
-    beta = -np.copysign(np.sqrt(squares.sum(axis=0)), alpha.real)
-    h.reshape(count, n * n)[:, below_flat] = x[:, below] * (1 / (alpha - beta))[:, below_cols]
-    q = qr_reduced(h, (beta - alpha) / beta)
-    q *= np.sign(beta)[:, None, :]
+    np.multiply(g, 1.0 / np.sqrt(2.0), out=g)
+    rows, cols = _lower_triangle(n)
+    x.fill(0)
+    x.real[rows, :, cols] = g[:, 0].T
+    x.imag[rows, :, cols] = g[:, 1].T
+    # squares[i, :, j] = |x_ij|^2, 0 above the diagonal; the sum over i adds one row at a
+    # time, so each column sums from the diagonal down
+    squares, imag2 = _leading(out.view(float), x.shape), _leading(gauss, x.shape)
+    np.square(x.real, out=squares)
+    np.square(x.imag, out=imag2)
+    np.add(squares, imag2, out=squares)
+    beta, tau, alpha = (_leading(slot, (count, n)) for slot in (gauss.view(complex), grams, out))
+    beta.imag = 0
+    np.sum(squares, axis=0, out=beta.real)
+    np.copyto(alpha, np.diagonal(x, axis1=0, axis2=2))
+    np.negative(np.copysign(np.sqrt(beta.real, out=beta.real), alpha.real, out=beta.real), out=beta.real)
+    np.divide(np.subtract(beta, alpha, out=tau), beta, out=tau)
+    scales = np.divide(1, np.subtract(alpha, beta, out=alpha), out=alpha)
+    for row in x:
+        row *= scales     # the diagonal and the zeros above it are not read
+    q = qr_reduced(x.transpose(1, 0, 2), tau, out=_leading(out, (count, n, n)))
+    np.sign(beta.real, out=beta.real)
+    signs = _leading(mats, q.shape)
+    np.copyto(signs, beta[:, None, :])
+    q *= signs
     return q
+
+
+def _equal_parts(total: int, parts: int) -> list[int]:
+    """``total`` split into ``parts`` sizes that differ by at most one, the larger first."""
+    base, extra = divmod(total, parts)
+    return [base + (1 if b < extra else 0) for b in range(parts)]
 
 
 def block_sizes(n_samples: int) -> list[int]:
@@ -177,8 +209,7 @@ def block_sizes(n_samples: int) -> list[int]:
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     blocks = min(NUM_STREAM_BLOCKS, n_samples)
-    base, extra = divmod(n_samples, blocks)
-    return [base + (1 if b < extra else 0) for b in range(blocks)]
+    return _equal_parts(n_samples, blocks)
 
 
 def product_state_block(part: Bipartition, seed: SeedSpec, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -20,8 +20,8 @@ when its next window would try a step below ``2^MIN_STEP_EXPONENT``, when
 
 Groups: restart ``r`` starts from seed substream ``r``.  Restarts advance in
 lockstep, in groups of ``substack_size(d1 d2)`` (:mod:`entpow.power`) taken
-in restart order, so a group's window stack holds at most ``3 * 8192``
-entries; from ``d1 d2 = 65`` on, a group is one restart.  A group's starts
+in restart order, so a group's window stack holds at most ``3 * 16384``
+entries; from ``d1 d2 = 91`` on, a group is one restart.  A group's starts
 are Haar unitaries drawn in one stacked call, by Stewart's Householder recipe
 (:mod:`entpow.sampling`), so one ``zungqr`` per group; every ``optimize``
 output changed once when that recipe replaced Mezzadri's QR.  Each iteration

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ValidationError
 # ep_value is unused here but stays bound: bench/spans.py traces entpow.spectrum.ep_value
 from .power import ep_value, ep_values, substack_size, upper_bound  # noqa: F401
-from .sampling import SeedSpec, _haar_unitary_from, block_sizes
+from .sampling import SeedSpec, _equal_parts, _haar_unitary_from, block_sizes
 from .tensorops import Bipartition
 
 
@@ -46,12 +46,14 @@ def sample_q(part: Bipartition, n_samples: int, n_bins: int, seed: SeedSpec) -> 
     bound degenerates to zero, i.e. a trivial factor).  Sampling is split over
     a fixed set of seed substreams taken in stream order, so the histogram is
     deterministic for a given seed.  Within a stream, gates are drawn and
-    evaluated in sub-stacks of at most 8192 matrix entries by
-    :func:`ep_values`, in three buffers each thread allocates once; the values
-    equal those of a one-gate-at-a-time loop bit for bit.  The streams run on
-    the calling thread and one helper thread per further CPU the process may
-    use, at most one thread per stream; the histogram does not depend on the
-    number of CPUs.  The call consumes streams
+    evaluated in sub-stacks by :func:`ep_values`: every stream splits into
+    the same number of equal sub-stacks, the fewest that keep each within
+    16384 matrix entries.  Each thread allocates four buffers once, for the
+    largest sub-stack, and a sub-stack allocates no working arrays of its
+    own; the values equal those of a one-gate-at-a-time loop bit for bit.
+    The streams run on the calling thread and one helper thread per further
+    CPU the process may use, at most one thread per stream; the histogram
+    does not depend on the number of CPUs.  The call consumes streams
     ``seed.stream_index`` to ``seed.stream_index + 63`` (fewer below 64
     samples); for independent histograms use distinct master seeds.
     """
@@ -82,6 +84,18 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _buffers(part: Bipartition, size: int) -> tuple:
+    """One thread's buffers for sub-stacks of at most ``size`` gates, as :func:`_haar_values` uses them.
+
+    The Gaussians (then the conjugates), the matrices, the Grams and the draw's
+    output: ``2 n^2`` floats and ``n^2``, ``max(n^2, d1^4)`` and ``n^2``
+    complex entries per gate.
+    """
+    n = part.dim
+    return (np.empty(size * 2 * n * n), np.empty(size * n * n, dtype=complex),
+            np.empty(size * max(n * n, part.d1 ** 4), dtype=complex), np.empty(size * n * n, dtype=complex))
+
+
 def _haar_values(part: Bipartition, n_samples: int, seed: SeedSpec) -> np.ndarray:
     """Entangling power of ``n_samples`` Haar-random gates, in stream order.
 
@@ -89,43 +103,42 @@ def _haar_values(part: Bipartition, n_samples: int, seed: SeedSpec) -> np.ndarra
     so blocks are independent.  The calling thread and ``min(cpus, blocks) - 1``
     helper threads take block indices in turn from one counter; the draws and
     Gram products are LAPACK/BLAS calls that release the GIL, so the threads
-    overlap.  Each thread allocates one sub-stack's buffers once and draws and
-    evaluates every sub-stack in them: a sub-stack is one
-    :func:`_haar_unitary_from` call with the block's one ``(generator,
-    count)`` pair, which draws each gate by Stewart's Householder recipe
-    (:mod:`entpow.sampling`; it replaced Mezzadri's QR, and every ``dist``
-    output changed once with it) in one ``zungqr`` per sub-stack.  The
-    buffers are the Gaussians, of which the draw uses ``n(n+1)`` per gate and
-    the conjugates all ``2 n^2``; the reflectors fed to ``zungqr``, reused for
-    ``A0`` and then ``A1``; and one Gram buffer for ``T0`` and then ``T1``, of
-    ``max(n^2, d1^4)`` entries per gate.  Per sub-stack, only the draw's
-    output and its temporaries, of at most ``n^2`` entries per gate each, are
-    allocated.
+    overlap.  Every block splits into the same number of sub-stacks of
+    sizes that differ by at most one: the fewest that keep the largest
+    block's within :func:`substack_size`.  So the largest sub-stack, not the
+    cap, sets the size of the four buffers (:func:`_buffers`) that each
+    thread allocates once and draws and evaluates every sub-stack in.  A
+    sub-stack is one :func:`_haar_unitary_from` call with the block's one
+    ``(generator, count)`` pair, which draws each gate by Stewart's
+    Householder recipe (:mod:`entpow.sampling`; it replaced Mezzadri's QR,
+    and every ``dist`` output changed once with it) in one ``zungqr``, in
+    the slots its docstring lists; then :func:`ep_values` writes the
+    conjugates into the Gaussians, ``A0`` and then ``A1`` into the matrices,
+    and ``T0`` and then ``T1`` into the Grams.  So a sub-stack allocates
+    only its values and traces, a few entries per gate.
     Blocks are concatenated in stream order, so the values do not depend on
     the number of CPUs.  Once a block raises, no thread starts another, and
     the first exception is re-raised after every helper is joined.
     """
     n = part.dim
-    substack = substack_size(n)
     sizes = block_sizes(n_samples)
+    parts = -(-max(sizes) // substack_size(n))
     blocks = [None] * len(sizes)
     claims = itertools.count()    # next() on it is one C call, so the GIL makes it atomic
     failures = []
 
     def work():
         try:
-            # this thread's buffers: Gaussians (then conjugates), matrices, Grams
-            gauss = np.empty(substack * 2 * n * n)
-            mats = np.empty(substack * n * n, dtype=complex)
-            grams = np.empty(substack * max(n * n, part.d1 ** 4), dtype=complex)
+            buffers = _buffers(part, -(-max(sizes) // parts))
+            evaluation = (buffers[0].view(complex), *buffers[1:3])
             for b in claims:
                 if b >= len(sizes) or failures:
                     return
-                rng, count = seed.substream(b).generator(), sizes[b]
+                rng = seed.substream(b).generator()
+                # a block one gate short of the largest has an empty part when parts equal its size
                 blocks[b] = np.concatenate([
-                    ep_values(_haar_unitary_from([(rng, min(substack, count - start))], n, (gauss, mats)),
-                              part, (gauss.view(complex), mats, grams))
-                    for start in range(0, count, substack)])
+                    ep_values(_haar_unitary_from([(rng, k)], n, buffers), part, evaluation)
+                    for k in _equal_parts(sizes[b], parts) if k])
         except BaseException as exc:     # re-raised by the calling thread below
             failures.append(exc)
 

@@ -72,19 +72,26 @@ MUTATIONS = [
     ("power", "ep_on_states accepts an empty list",
      "    if not states:\n", "    if False:\n"),
     ("sampling", "Haar sign fix multiplies rows",
-     "q *= np.sign(beta)[:, None, :]", "q *= np.sign(beta)[:, :, None]"),
+     "np.copyto(signs, beta[:, None, :])", "np.copyto(signs, beta[:, :, None])"),
     ("sampling", "Haar sign fix dropped",
-     "q *= np.sign(beta)[:, None, :]", "q *= 1"),
+     "q *= signs", "q *= 1"),
     ("sampling", "Gaussians scaled by sqrt 2",
-     "scale = 1.0 / np.sqrt(2.0)", "scale = np.sqrt(2.0)"),
+     "np.multiply(g, 1.0 / np.sqrt(2.0), out=g)", "np.multiply(g, np.sqrt(2.0), out=g)"),
     ("sampling", "imaginary part read from the real Gaussian block",
-     "np.multiply(g[:, 1], scale, out=x.imag)", "np.multiply(g[:, 0], scale, out=x.imag)"),
+     "x.imag[rows, :, cols] = g[:, 1].T", "x.imag[rows, :, cols] = g[:, 0].T"),
     ("sampling", "reflected norm beta takes the sign of Re alpha",
-     "beta = -np.copysign(", "beta = np.copysign("),
+     "np.negative(np.copysign(np.sqrt(beta.real, out=beta.real), alpha.real, out=beta.real), out=beta.real)",
+     "np.copysign(np.sqrt(beta.real, out=beta.real), alpha.real, out=beta.real)"),
     ("sampling", "tau conjugated, so zungqr multiplies the reflectors' adjoints",
-     "qr_reduced(h, (beta - alpha) / beta)", "qr_reduced(h, (beta - alpha.conj()) / beta)"),
+     "np.subtract(beta, alpha, out=tau)", "np.subtract(beta, alpha.conj(), out=tau)"),
     ("sampling", "Gaussians fill the lower triangle column by column",
-     "rows, cols = np.tril_indices(n)", "cols, rows = np.triu_indices(n)"),
+     "return np.tril_indices(n)", "return np.triu_indices(n)[::-1]"),
+    ("sampling", "matrix slot not zeroed, so the squares read its last contents above the diagonal",
+     "    x.fill(0)\n", ""),
+    ("sampling", "beta's imaginary parts left as the slot held them",
+     "    beta.imag = 0\n", ""),
+    ("sampling", "zungqr writes into the float slot, which still holds beta for the signs",
+     "tau, out=_leading(out, (count, n, n)))", "tau, out=_leading(gauss.view(complex), (count, n, n)))"),
     ("sampling", "block_sizes gives the extra samples to the last blocks",
      "(1 if b < extra else 0)", "(1 if b >= blocks - extra else 0)"),
     ("sampling", "master seed range 65 bits",
@@ -129,7 +136,12 @@ MUTATIONS = [
     ("spectrum", "degenerate bound bins over [0, 1/2]",
      "hi = bound if bound > 0 else 1.0", "hi = bound if bound > 0 else 0.5"),
     ("spectrum", "Gram buffer sized for T1 alone",
-     "substack * max(n * n, part.d1 ** 4)", "substack * n * n"),
+     "size * max(n * n, part.d1 ** 4)", "size * n * n"),
+    ("spectrum", "part count taken per block instead of from the largest block",
+     "for k in _equal_parts(sizes[b], parts) if k]",
+     "for k in _equal_parts(sizes[b], -(-sizes[b] // substack_size(n))) if k]"),
+    ("spectrum", "empty parts evaluated",
+     "for k in _equal_parts(sizes[b], parts) if k]", "for k in _equal_parts(sizes[b], parts)]"),
     ("tensorops", "ensure_finite checks only the real part",
      "if not np.isfinite(m).all():", "if not np.isfinite(m.real).all():"),
     ("tensorops", "one input tolerance 1e-3",

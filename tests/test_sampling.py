@@ -162,6 +162,17 @@ class TestStackedHaarDraw:
             assert_array_equal(stacked, singles)
             assert_array_equal(stacked[0], haar_unitary(n, SeedSpec(61, n)))
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 9])
+    def test_draw_in_used_buffers_equals_a_fresh_draw(self, n):
+        # dist's slots are larger than one sub-stack and hold the last one's arrays; NaN stands
+        # in for those, so a slot read before this draw writes it, or after another step has
+        # reused it, would show
+        count, room = 5, 7
+        work = (np.full(2 * room * n * n, np.nan),
+                *(np.full(room * n * n, complex(np.nan, np.nan)) for _ in range(3)))
+        drawn = _haar_unitary_from([(SeedSpec(65, n).generator(), count)], n, work)
+        assert_array_equal(drawn, _haar_unitary_from([(SeedSpec(65, n).generator(), count)], n))
+
     def test_stack_is_unitary(self):
         for n in range(1, 26):
             u = _haar_unitary_from([(SeedSpec(63, n).generator(), 20)], n)

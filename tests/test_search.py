@@ -17,10 +17,28 @@ from entpow.tensorops import permutation_matrix
 
 P22 = Bipartition(2, 2)
 
-#: the least master seed from 18 on whose five 2x2 restarts include a window that improves
-#: nothing (its restart 3 does, right after accepting 2^1, 2^2 and 2^3): failed windows are rare
-#: at 2x2, and two tests need one
-FAILED_WINDOW_SEED = SeedSpec(25)
+#: a 2x2 start whose ascent accepts the steps 2^1, 2^2 and 2^3 and then meets a window that
+#: improves nothing; failed windows are rare at 2x2, so two tests feed it in through a patched
+#: draw rather than search for a seed that has one (it is restart 3 of seed 25 under
+#: Stewart's recipe, written out so that a change to the draw cannot lose the event)
+FAILED_WINDOW_START = np.array([
+    [-0.08472651508404927+0.13500811129383777j, 0.2135473251465511+0.22175621655407607j,
+     -0.5339678144585908+0.7276170333618207j, -0.1356537943843769+0.2164851538146177j],
+    [-0.25779763315630855-0.268487438721066j, -0.23155390989717373+0.7977805939121848j,
+     0.26823066462284123+0.1398462054947421j, 0.18004221882313487-0.21786219310016672j],
+    [-0.8585684305996623+0.16791317714526563j, -0.19021711308978823-0.3707062921940155j,
+     -0.007941362462894896+0.10781944040582014j, 0.15771735413052484-0.15651469251493016j],
+    [-0.2376819035590715-0.11925531750719712j, -0.19840178987263182+0.046708197585823896j,
+     0.28299291364576334-0.04662712845394733j, -0.7241540819306093+0.5301719941321594j]])
+
+
+def start_every_restart_at(monkeypatch, start):
+    """Patch the draws of ``maximize_ep`` and of :func:`sequential_maximize` to return ``start``."""
+    def preset(draws, n):
+        return np.array([start] * sum(count for _, count in draws))
+
+    monkeypatch.setattr(entpow.search, "_haar_unitary_from", preset)
+    monkeypatch.setitem(globals(), "_haar_unitary_from", preset)
 
 
 def quick_run(part, seed=7, restarts=4, iters=800):
@@ -115,9 +133,10 @@ class TestMaximizeEp:
         assert abs(res.best_value - 1 / 3) < 1e-6
 
     def test_failed_window_keeps_the_matrix_and_lowers_the_steps(self, monkeypatch):
-        # at 2x2, restart 3 of seed 25 (FAILED_WINDOW_SEED) accepts steps 2^1, 2^2 and 2^3; its
-        # fourth window, 2^4, 2^3 and 2^2, improves nothing, so the fifth is 2^1, 2^0 and 2^-1
-        seed = FAILED_WINDOW_SEED.substream(3)
+        # at 2x2, FAILED_WINDOW_START accepts steps 2^1, 2^2 and 2^3; its fourth window,
+        # 2^4, 2^3 and 2^2, improves nothing, so the fifth is 2^1, 2^0 and 2^-1
+        start_every_restart_at(monkeypatch, FAILED_WINDOW_START)
+        seed = SeedSpec(0)
         assert sequential_maximize(P22, seed, 1, 3)[4] == [1, 2, 3]
         before = maximize_ep(P22, seed, restarts=1, max_iters=3)
         after = maximize_ep(P22, seed, restarts=1, max_iters=4)
@@ -269,11 +288,12 @@ class TestLockstep:
 
     def test_group_size_bounds_the_ladder_stack(self, monkeypatch):
         sizes = record_groups(monkeypatch)
-        # 2x4: every benchmark configuration runs as one group; from d1 d2 = 65 on, one
-        # restart per group
+        # 2x4: every benchmark configuration runs as one group; 5x13 runs two restarts per
+        # group, and from d1 d2 = 91 on, one restart per group
         maximize_ep(Bipartition(2, 4), SeedSpec(1), 16, 2)
         maximize_ep(Bipartition(5, 13), SeedSpec(1), 2, 1)
-        assert sizes == [16, 1, 1]
+        maximize_ep(Bipartition(7, 13), SeedSpec(1), 2, 1)
+        assert sizes == [16, 2, 1, 1]
 
     def test_gradients_only_at_starts_and_accepted_steps(self, monkeypatch):
         # a restart keeps its gradient through a failed window, so per group the gradient
@@ -294,7 +314,8 @@ class TestLockstep:
         monkeypatch.setattr(entpow.search, "_gradients", counting)
         monkeypatch.setattr(entpow.search, "_lockstep_ascent", per_group)
         monkeypatch.setattr(entpow.power, "_SUBSTACK_ENTRIES", 2 * 16)   # 2x2: two per group
-        res = maximize_ep(P22, FAILED_WINDOW_SEED, restarts=5, max_iters=300)
+        start_every_restart_at(monkeypatch, FAILED_WINDOW_START)
+        res = maximize_ep(P22, SeedSpec(0), restarts=5, max_iters=300)
         assert rows == entries and len(rows) == 3
         assert sum(entries) < res.iterations_used   # some window improved nothing
 

@@ -3,16 +3,19 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entpow.power
 import entpow.spectrum
 from entpow import Bipartition, SeedSpec, ValidationError, haar_mean, sample_q, upper_bound
 from entpow.sampling import block_sizes
-from entpow.power import substack_size
-from entpow.spectrum import _haar_values
+from entpow.power import ep_values, substack_size
+from entpow.sampling import _haar_unitary_from
+from entpow.spectrum import _buffers, _haar_values
 
 from test_sampling import per_matrix_draw
 from two_qubit import KS_CRITICAL_001, exact_bin_probabilities, exact_mean, ks_gap
@@ -79,20 +82,62 @@ def per_gate_values(part, n_samples, seed):
 
 
 class TestBatchedSampling:
-    # 5x5 has 13 gates per sub-stack and tails of 1 and 2; at 4x2, T0 has d1^4 > n^2 entries per
-    # gate; at 1x7 the rearrangements are views of the gates
-    @pytest.mark.parametrize("d1, d2, n_samples", [(2, 2, 64 * 513 + 5), (3, 4, 64 * 57 + 7),
-                                                   (5, 5, 64 * 14 + 3), (4, 2, 64 * 129 + 5),
-                                                   (1, 7, 64 * 168 + 5)])
+    # each input's blocks are one gate above and at a multiple of the sub-stack, so the
+    # smaller blocks split into the larger ones' part count rather than their own; 5x5
+    # splits into three parts; at 4x2, T0 has d1^4 > n^2 entries per gate; at 1x7 the
+    # rearrangements are views of the gates
+    @pytest.mark.parametrize("d1, d2, n_samples", [(3, 3, 64 * 202 + 5), (3, 4, 64 * 113 + 7),
+                                                   (5, 5, 64 * 52 + 3), (4, 2, 64 * 256 + 5),
+                                                   (1, 7, 64 * 334 + 5)])
     def test_values_equal_per_gate_loop(self, d1, d2, n_samples):
         part = Bipartition(d1, d2)
-        substack = substack_size(part.dim)
-        # every block spans a partial sub-stack, so the sub-stack boundaries are exercised
-        assert all(count > substack and count % substack for count in block_sizes(n_samples))
+        substack, sizes = substack_size(part.dim), block_sizes(n_samples)
+        parts = -(-max(sizes) // substack)
+        # every block splits into two parts or more, and blocks of unequal size share one
+        # part count, which the smaller ones alone would not take
+        assert parts >= 2 and -(-min(sizes) // substack) < parts
         ref = per_gate_values(part, n_samples, SeedSpec(77))
         assert np.array_equal(_haar_values(part, n_samples, SeedSpec(77)), ref)
         h = sample_q(part, n_samples, 50, SeedSpec(77))
         assert h.empirical_mean == float(ref.mean()) and h.empirical_max == float(ref.max())
+
+    def test_one_gate_sub_stacks(self, monkeypatch):
+        # with one gate per sub-stack the part count is the largest block's size, so each
+        # block of 3 next to blocks of 4 has an empty part, which is skipped
+        part, seed, n_samples = Bipartition(2, 3), SeedSpec(81), 64 * 3 + 5
+        monkeypatch.setattr(entpow.power, "_SUBSTACK_ENTRIES", part.dim ** 2)
+        calls = []
+        real = entpow.spectrum.ep_values
+
+        def recording(stack, *args):
+            calls.append(len(stack))
+            return real(stack, *args)
+
+        monkeypatch.setattr(entpow.spectrum, "ep_values", recording)
+        assert np.array_equal(_haar_values(part, n_samples, seed), per_gate_values(part, n_samples, seed))
+        assert calls == [1] * n_samples
+
+    @pytest.mark.parametrize("d1, d2", [(2, 2), (3, 3), (5, 5), (4, 2)])
+    def test_a_sub_stack_allocates_under_a_quarter_buffer(self, d1, d2):
+        # the draw and the evaluation work in the thread's buffers; what they allocate
+        # besides (index arrays, the values) stays below a quarter of the smallest buffer
+        part = Bipartition(d1, d2)
+        count = substack_size(part.dim)
+        buffers = _buffers(part, count)
+        evaluation = (buffers[0].view(complex), *buffers[1:3])
+        rng = SeedSpec(82).generator()
+
+        def sub_stack():
+            return ep_values(_haar_unitary_from([(rng, count)], part.dim, buffers), part, evaluation)
+
+        sub_stack()    # caches the index arrays
+        tracemalloc.start()
+        try:
+            sub_stack()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < buffers[3].nbytes / 4
 
     # 1, 63 and 64 samples give one-gate blocks; 64 * 3 + 5 gives blocks of 3 and 4
     @pytest.mark.parametrize("n_samples", [1, 63, 64, 64 * 3 + 5])
