@@ -12,9 +12,8 @@ import pytest
 import entpow.power
 import entpow.spectrum
 from entpow import Bipartition, SeedSpec, ValidationError, haar_mean, sample_q, upper_bound
-from entpow.sampling import block_sizes
+from entpow.sampling import _haar_unitary_from, block_sizes
 from entpow.power import ep_values, substack_size
-from entpow.sampling import _haar_unitary_from
 from entpow.spectrum import _buffers, _haar_values
 
 from test_sampling import per_matrix_draw
