@@ -125,13 +125,22 @@ def _gram(a: np.ndarray, conj: np.ndarray | None = None, out: np.ndarray | None 
     return np.matmul(a, c.transpose(0, 2, 1), out=out)
 
 
-#: axis orders that rearrange a stack of gates, indexed ``(gate, a, b, c, d)`` for
-#: ``U[(a, b), (c, d)]``, into ``A0[(a, c), (b, d)]`` and ``A1[(b, c), (a, d)]``
-_REARRANGEMENTS = ((0, 1, 3, 2, 4), (0, 2, 3, 1, 4))
+#: the ``(axes, undo)`` pairs of ``A0`` and ``A1`` (see :func:`_rearrangements`), keyed by
+#: ``d1 <= d2``; ``undo``, the argsort of ``axes``, undoes the rearrangement
+_REARRANGEMENTS = {d1_le_d2: tuple((axes, tuple(np.argsort(axes).tolist())) for axes in (a0, (0, 2, 3, 1, 4)))
+                   for d1_le_d2, a0 in ((True, (0, 1, 3, 2, 4)), (False, (0, 2, 4, 1, 3)))}
 
-#: the axis orders that undo them (their argsorts; the second is not its own inverse):
-#: axis ``k`` of a gate sits at position ``axes.index(k)`` of the rearrangement
-_UNDO = tuple(tuple(axes.index(k) for k in range(len(axes))) for axes in _REARRANGEMENTS)
+
+def _rearrangements(part: Bipartition) -> tuple:
+    """The ``(axes, undo)`` pairs that rearrange a stack of gates on ``part`` into ``A0`` and ``A1``.
+
+    The stack is indexed ``(gate, a, b, c, d)`` for ``U[(a, b), (c, d)]``.
+    ``A0`` pairs the d1 indices and the d2 indices, with the smaller factor's
+    pair as rows: ``A0[(a, c), (b, d)]`` when ``d1 <= d2``, its transpose
+    ``A0[(b, d), (a, c)]`` otherwise.  ``A1`` is ``A1[(b, c), (a, d)]``.  So
+    no Gram ``A A^dag`` has more than ``(d1 d2)^2`` entries.
+    """
+    return _REARRANGEMENTS[part.d1 <= part.d2]
 
 
 def _gate_shape(n, part: Bipartition) -> tuple:
@@ -139,29 +148,29 @@ def _gate_shape(n, part: Bipartition) -> tuple:
     return n, part.d1, part.d2, part.d1, part.d2
 
 
-def _i0_i1(stack: np.ndarray, part: Bipartition, work: tuple | None = None) -> tuple:
+def _i0_i1(stack: np.ndarray, part: Bipartition, work: np.ndarray | None = None) -> tuple:
     """The two exchange-operator traces of a stack of gates, and the stacks behind them.
 
     Each gate ``u``, its row and its column index each split into a ``(d1,
-    d2)`` pair, is rearranged by each entry of ``_REARRANGEMENTS``: ``A0``
-    pairs the ``d1`` indices and ``A1`` the ``d2`` indices, so that
-    contracting two copies of ``u`` against two conjugated copies becomes one
-    matrix product per trace, at cost O((d1 d2)^3) per gate.  Each trace is ``d1 d2`` times the dimension of the contracted
-    factor plus the squared Frobenius norm of its ``T = A A^dag``; the third
-    value is ``(A0, T0, A1, T1)``, from which :func:`_gradients` reads the
-    gradient.
+    d2)`` pair, is rearranged into ``A0`` and ``A1`` (:func:`_rearrangements`),
+    so that contracting two copies of ``u`` against two conjugated copies
+    becomes one matrix product per trace, at cost O((d1 d2)^3) per gate.  Its
+    Gram ``T = A A^dag`` has at most ``n^2`` entries, ``n = d1 d2``: ``T0`` is
+    the ``a^2 x a^2`` Gram of ``A0`` on the smaller side, ``a = min(d1, d2)``,
+    and ``T1`` is ``n x n``.  Then ``I0 = n d2 + ||T0||^2`` and ``I1 = n d1 +
+    ||T1||^2``; the third value is ``(A0, T0, A1, T1)``, from which
+    :func:`_gradients` reads the gradient.
 
-    ``work`` supplies the memory instead: three flat complex arrays, for the
-    conjugate of ``A``, for ``A`` and for ``T``, of at least ``N n^2``,
-    ``N n^2`` and ``N max(n^2, d1^4)`` entries (``T0`` has ``d1^4``).  Each
-    rearrangement and its Gram are written into them and reduced to the trace
-    before the next starts, so the third value is ``None``.
+    ``work`` supplies the memory instead: a complex array of three rows of
+    at least ``N n^2`` entries each, for the conjugate of ``A``, for ``A``
+    and for ``T``.  Each rearrangement and its Gram are written into them
+    and reduced to the trace before the next starts, so the third value is
+    ``None``.
     """
     u = stack.reshape(_gate_shape(-1, part))
     n = u.shape[0]
     traces, stacks = [], []
-    # I0 contracts the d2 indices of each copy, I1 the d1 indices (axis 3 after rearranging)
-    for axes in _REARRANGEMENTS:
+    for (axes, _), factor in zip(_rearrangements(part), (part.d2, part.d1)):
         r = u.transpose(axes)
         rows = r.shape[1] * r.shape[2]
         if work is None:
@@ -174,7 +183,7 @@ def _i0_i1(stack: np.ndarray, part: Bipartition, work: tuple | None = None) -> t
             a[...] = r
             a = a.reshape(n, rows, -1)
             t = _gram(a, _leading(conj, a.shape), _leading(gram, (n, rows, rows)))
-        traces.append(part.dim * r.shape[3] + _frobenius2(t))
+        traces.append(part.dim * factor + _frobenius2(t))
     return traces[0], traces[1], tuple(stacks) if work is None else None
 
 
@@ -187,40 +196,34 @@ def _closed_form(i0, i1, part: Bipartition):
     return 1.0 - _c(part.d1) * _c(part.d2) * (i0 + i1)
 
 
-def ep_values(stack: np.ndarray, part: Bipartition, work: tuple | None = None) -> np.ndarray:
+def ep_values(stack: np.ndarray, part: Bipartition, work: np.ndarray | None = None) -> np.ndarray:
     """Closed-form entangling power of a stack of (unvalidated) unitaries, ``(N, n, n) -> (N,)``.
 
     The one closed-form kernel: :func:`ep_value` and :func:`ep_closed` are its
     ``N = 1`` case (a single ``(n, n)`` matrix counts as a stack of one), and
-    sampling loops call it on whole stacks of gates.  ``work``, three flat
-    complex arrays as described in ``_i0_i1``, lets a loop over complex
-    stacks reuse one set of buffers; the values are the same bit for bit.
+    sampling loops call it on whole stacks of gates.  ``work``, three complex
+    rows of at least ``N n^2`` entries as described in ``_i0_i1``, lets a
+    loop over complex stacks reuse one workspace (``dist``'s is described in
+    :mod:`entpow.spectrum`); the values are the same bit for bit.
     """
     i0, i1, _ = _i0_i1(stack, part, work)
     return _closed_form(i0, i1, part)
 
 
 #: matrix entries per sub-stack of matrices (see :func:`substack_size`); caps
-#: the working set without changing any value.  Larger sub-stacks mean fewer,
-#: longer GIL-free calls for the threads of ``dist``, whose sub-stacks
-#: allocate no working arrays; the peak RSS bounds it.
+#: the working set without changing any value
 _SUBSTACK_ENTRIES = 16384
 
 
 def substack_size(n: int) -> int:
     """Most ``(n, n)`` matrices in one sub-stack passed to :func:`ep_values`.
 
-    A sub-stack holds at most 16384 matrix entries.  ``dist`` splits each of
-    its blocks into the same number of equal sub-stacks, the fewest within
-    this size, and draws and evaluates one at a time on each of its threads
-    (one per CPU, up to 64), in four buffers each thread allocates once for
-    the largest sub-stack: the Gaussians, the matrices, the Grams (of
-    ``max(n^2, d1^4)`` entries per gate) and the draw's output.  So its
-    working set is a few sub-stacks per thread; the values do not depend on
-    the number of CPUs.  Also the number of restarts in one lockstep group of
-    :func:`entpow.search.maximize_ep`, whose stack of three-step windows then
-    holds at most three times as many entries, and the number of tables per
-    call of :func:`entpow.search.exhaustive_permutation_max`.
+    A sub-stack holds at most 16384 matrix entries.  It sizes ``dist``'s
+    sub-stacks (:mod:`entpow.spectrum`), the number of restarts in one
+    lockstep group of :func:`entpow.search.maximize_ep`, whose stack of
+    three-step windows then holds at most three times as many entries, and
+    the number of tables per call of
+    :func:`entpow.search.exhaustive_permutation_max`.
     """
     return max(1, _SUBSTACK_ENTRIES // (n * n))
 
@@ -243,12 +246,14 @@ def _gradients(a0: np.ndarray, t0: np.ndarray, a1: np.ndarray, t1: np.ndarray,
     rearrangement ``A``, ``d||T||^2 = 4 Re tr((T A)^dag dA)``, so in the
     convention ``de = Re tr(G^dag dU)`` the gradient is
     ``G = -4 C_{d1} C_{d2} (R0^-1(T0 A0) + R1^-1(T1 A1))``, where ``R^-1``
-    undoes each rearrangement of ``_REARRANGEMENTS`` by its entry of
-    ``_UNDO``.  Returns ``(N, n, n)``.
+    undoes each rearrangement of :func:`_rearrangements` by its undo order.
+    With ``A0`` on the smaller side, ``T0 A0`` multiplies
+    an ``a^2 x a^2`` Gram into an ``a^2 x b^2`` matrix, ``a = min(d1, d2)``
+    and ``b = max(d1, d2)``.  Returns ``(N, n, n)``.
     """
     shape = _gate_shape(len(a0), part)
     g0, g1 = ((t @ a).reshape([shape[i] for i in axes]).transpose(undo)
-              for axes, undo, a, t in zip(_REARRANGEMENTS, _UNDO, (a0, a1), (t0, t1)))
+              for (axes, undo), a, t in zip(_rearrangements(part), (a0, a1), (t0, t1)))
     return (-4.0 * _c(part.d1) * _c(part.d2) * (g0 + g1)).reshape(len(a0), part.dim, part.dim)
 
 

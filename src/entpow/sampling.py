@@ -18,6 +18,9 @@ Gaussians and no QR factorization.  Every output drawn from Haar unitaries
 with it; ``mc`` and ``haar_state`` draw no unitary and did not change.
 """
 
+# annotations stay unevaluated, so that importing this module does not load numpy.random
+from __future__ import annotations
+
 import functools
 from dataclasses import dataclass
 
@@ -50,7 +53,7 @@ class SeedSpec:
         if self.stream_index < 0:
             raise ValidationError(f"stream_index must be nonnegative, got {self.stream_index}")
 
-    def substream(self, k: int) -> "SeedSpec":
+    def substream(self, k: int) -> SeedSpec:
         """The seed ``k`` streams further along; used to split work into streams.
 
         Calls that split work this way consume a run of consecutive streams
@@ -112,7 +115,7 @@ def _lower_triangle(n: int):
     return np.tril_indices(n)
 
 
-def _haar_unitary_from(draws, n: int, work: tuple | None = None) -> np.ndarray:
+def _haar_unitary_from(draws, n: int, work: np.ndarray | None = None) -> np.ndarray:
     """A stack of Haar unitaries drawn by ``(generator, count)`` pairs, taken in order.
 
     Each pair's generator draws its ``count`` matrices one after another, and
@@ -131,19 +134,19 @@ def _haar_unitary_from(draws, n: int, work: tuple | None = None) -> np.ndarray:
     ``zungqr`` of the whole stack multiplies the reflectors out, and column
     ``j`` is multiplied by ``sign(beta_j)`` in place.
 
-    ``work`` is the draw's memory: four flat arrays of at least ``count n^2``
-    entries, the first of ``2 count n^2`` floats and the others complex.
-    Each takes, in turn, only what no later step reads from it again:
+    ``work`` is the draw's memory: a complex array of four rows of at least
+    ``count n^2`` entries each.  Each row takes, in turn, only what no later
+    step reads from it again:
 
-    - the float slot: the Gaussians, then the squared imaginary parts, then
-      ``beta`` (as complex numbers with zero imaginary parts) and, in place,
-      its signs;
-    - the first complex slot: ``x``, held row by row across the stack as an
-      ``(n, count, n)`` array and scaled in place into the reflectors, of
-      which ``zungqr`` reads only the strict lower triangle; then the signs,
+    - the first, read as ``2 count n^2`` floats: the Gaussians, then the
+      squared imaginary parts, then ``beta`` (as complex numbers with zero
+      imaginary parts) and, in place, its signs;
+    - the second: ``x``, held row by row across the stack as an ``(n,
+      count, n)`` array and scaled in place into the reflectors, of which
+      ``zungqr`` reads only the strict lower triangle; then the signs,
       repeated down each column;
-    - the second: ``tau``;
-    - the third: the squared real parts, as an ``(n, count, n)`` float array
+    - the third: ``tau``;
+    - the fourth: the squared real parts, as an ``(n, count, n)`` float array
       to which the imaginary ones are added and which is summed over its
       first axis; then ``alpha``, turned in place into ``1 / (alpha -
       beta)``; then ``zungqr``'s output, which is returned.
@@ -152,14 +155,13 @@ def _haar_unitary_from(draws, n: int, work: tuple | None = None) -> np.ndarray:
     up to 8192 entries; hence the complex ``beta``, the copied ``alpha``,
     the rows scaled one at a time and the repeated signs.  So a call
     allocates no array of ``count n`` or more entries, and the values do not
-    depend on the slots' earlier contents.  Without ``work`` the four slots
-    are allocated.  ``dist`` passes larger slots: its Gram buffer, the second
-    complex slot, holds ``max(n^2, d1^4)`` entries per gate, and
-    :func:`ep_values` takes the float slot for its conjugates.
+    depend on the rows' earlier contents.  Without ``work`` the four rows
+    are allocated.  ``dist`` passes its threads' workspaces, whose first
+    three rows :func:`ep_values` then takes (:mod:`entpow.spectrum`).
     """
     count = sum(k for _, k in draws)
-    gauss, mats, grams, out = work or (np.empty(2 * count * n * n),
-                                       *(np.empty(count * n * n, dtype=complex) for _ in range(3)))
+    work = np.empty((4, count * n * n), dtype=complex) if work is None else work
+    gauss, mats, taus, out = work[0].view(float), *work[1:]
     m = n * (n + 1) // 2
     g, x = _leading(gauss, (count, 2, m)), _leading(mats, (n, count, n))
     start = 0
@@ -177,7 +179,7 @@ def _haar_unitary_from(draws, n: int, work: tuple | None = None) -> np.ndarray:
     np.square(x.real, out=squares)
     np.square(x.imag, out=imag2)
     np.add(squares, imag2, out=squares)
-    beta, tau, alpha = (_leading(slot, (count, n)) for slot in (gauss.view(complex), grams, out))
+    beta, tau, alpha = (_leading(slot, (count, n)) for slot in (work[0], taus, out))
     beta.imag = 0
     np.sum(squares, axis=0, out=beta.real)
     np.copyto(alpha, np.diagonal(x, axis1=0, axis2=2))

@@ -48,9 +48,10 @@ def sample_q(part: Bipartition, n_samples: int, n_bins: int, seed: SeedSpec) -> 
     deterministic for a given seed.  Within a stream, gates are drawn and
     evaluated in sub-stacks by :func:`ep_values`: every stream splits into
     the same number of equal sub-stacks, the fewest that keep each within
-    16384 matrix entries.  Each thread allocates four buffers once, for the
-    largest sub-stack, and a sub-stack allocates no working arrays of its
-    own; the values equal those of a one-gate-at-a-time loop bit for bit.
+    16384 matrix entries.  Each thread allocates one workspace of four rows
+    once, for the largest sub-stack, and a sub-stack allocates no working
+    arrays of its own (:func:`_haar_values`); the values equal those of a
+    one-gate-at-a-time loop bit for bit.
     The streams run on the calling thread and one helper thread per further
     CPU the process may use, at most one thread per stream; the histogram
     does not depend on the number of CPUs.  The call consumes streams
@@ -84,18 +85,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _buffers(part: Bipartition, size: int) -> tuple:
-    """One thread's buffers for sub-stacks of at most ``size`` gates, as :func:`_haar_values` uses them.
-
-    The Gaussians (then the conjugates), the matrices, the Grams and the draw's
-    output: ``2 n^2`` floats and ``n^2``, ``max(n^2, d1^4)`` and ``n^2``
-    complex entries per gate.
-    """
-    n = part.dim
-    return (np.empty(size * 2 * n * n), np.empty(size * n * n, dtype=complex),
-            np.empty(size * max(n * n, part.d1 ** 4), dtype=complex), np.empty(size * n * n, dtype=complex))
-
-
 def _haar_values(part: Bipartition, n_samples: int, seed: SeedSpec) -> np.ndarray:
     """Entangling power of ``n_samples`` Haar-random gates, in stream order.
 
@@ -106,19 +95,22 @@ def _haar_values(part: Bipartition, n_samples: int, seed: SeedSpec) -> np.ndarra
     overlap.  Every block splits into the same number of sub-stacks of
     sizes that differ by at most one: the fewest that keep the largest
     block's within :func:`substack_size`.  So the largest sub-stack, not the
-    cap, sets the size of the four buffers (:func:`_buffers`) that each
-    thread allocates once and draws and evaluates every sub-stack in.  A
-    sub-stack is one :func:`_haar_unitary_from` call with the block's one
-    ``(generator, count)`` pair, which draws each gate by Stewart's
-    Householder recipe (:mod:`entpow.sampling`; it replaced Mezzadri's QR,
-    and every ``dist`` output changed once with it) in one ``zungqr``, in
-    the slots its docstring lists; then :func:`ep_values` writes the
-    conjugates into the Gaussians, ``A0`` and then ``A1`` into the matrices,
-    and ``T0`` and then ``T1`` into the Grams.  So a sub-stack allocates
-    only its values and traces, a few entries per gate.
-    Blocks are concatenated in stream order, so the values do not depend on
-    the number of CPUs.  Once a block raises, no thread starts another, and
-    the first exception is re-raised after every helper is joined.
+    cap, sizes the one workspace each thread allocates: a complex array of
+    four rows of ``size n^2`` entries, for sub-stacks of at most ``size``
+    gates.  A sub-stack is one :func:`_haar_unitary_from` call with the
+    block's one ``(generator, count)`` pair, which draws each gate by
+    Stewart's Householder recipe (:mod:`entpow.sampling`; it replaced
+    Mezzadri's QR, and every ``dist`` output changed once with it) in one
+    ``zungqr``, in the four rows as its docstring lists, and leaves the
+    gates in the fourth; then :func:`ep_values` takes the first three rows,
+    and writes the conjugates into the first, ``A0`` and then ``A1`` into
+    the second, and ``T0`` and then ``T1`` into the third.  Every Gram fits
+    a row because ``T0`` is taken on the smaller side (:mod:`entpow.power`).
+    So a sub-stack allocates only its values and traces, a few entries per
+    gate.  Blocks are concatenated in stream order, so the values do not
+    depend on the number of CPUs.  Once a block raises, no thread starts
+    another, and the first exception is re-raised after every helper is
+    joined.
     """
     n = part.dim
     sizes = block_sizes(n_samples)
@@ -129,15 +121,14 @@ def _haar_values(part: Bipartition, n_samples: int, seed: SeedSpec) -> np.ndarra
 
     def work():
         try:
-            buffers = _buffers(part, -(-max(sizes) // parts))
-            evaluation = (buffers[0].view(complex), *buffers[1:3])
+            workspace = np.empty((4, -(-max(sizes) // parts) * n * n), dtype=complex)
             for b in claims:
                 if b >= len(sizes) or failures:
                     return
                 rng = seed.substream(b).generator()
                 # a block one gate short of the largest has an empty part when parts equal its size
                 blocks[b] = np.concatenate([
-                    ep_values(_haar_unitary_from([(rng, k)], n, buffers), part, evaluation)
+                    ep_values(_haar_unitary_from([(rng, k)], n, workspace), part, workspace[:3])
                     for k in _equal_parts(sizes[b], parts) if k])
         except BaseException as exc:     # re-raised by the calling thread below
             failures.append(exc)

@@ -28,7 +28,7 @@ TIMEOUT = 600
 
 #: module -> the test files run against its mutations
 TESTS = {
-    "power": ["test_power.py", "test_properties.py"],
+    "power": ["test_power.py", "test_properties.py", "test_saturation.py"],
     "sampling": ["test_sampling.py"],
     "search": ["test_search.py"],
     "spectrum": ["test_spectrum.py"],
@@ -65,8 +65,10 @@ MUTATIONS = [
      "if part.dim > DENSE_ORACLE_MAX_DIM:", "if part.dim >= DENSE_ORACLE_MAX_DIM:"),
     ("power", "Monte Carlo accepts one sample",
      "if n_samples < 2:", "if n_samples < 1:"),
-    ("power", "trace constants take the row factor, so I0's uses d1 twice",
-     "part.dim * r.shape[3]", "part.dim * r.shape[1]"),
+    ("power", "trace constants take the row factor: n d1 for I0 and n d2 for I1",
+     "(part.d2, part.d1)):", "(part.d1, part.d2)):"),
+    ("power", "A0 on the larger side: its Gram has max(d1, d2)^4 entries",
+     "_REARRANGEMENTS[part.d1 <= part.d2]", "_REARRANGEMENTS[part.d1 > part.d2]"),
     ("power", "gradient undoes the rearrangements by their forward axes",
      ".transpose(undo)", ".transpose(axes)"),
     ("power", "ep_on_states accepts an empty list",
@@ -91,7 +93,9 @@ MUTATIONS = [
     ("sampling", "beta's imaginary parts left as the slot held them",
      "    beta.imag = 0\n", ""),
     ("sampling", "zungqr writes into the float slot, which still holds beta for the signs",
-     "tau, out=_leading(out, (count, n, n)))", "tau, out=_leading(gauss.view(complex), (count, n, n)))"),
+     "tau, out=_leading(out, (count, n, n)))", "tau, out=_leading(work[0], (count, n, n)))"),
+    ("sampling", "tau's row aliased to the matrices' row",
+     "work[0].view(float), *work[1:]", "work[0].view(float), work[1], work[1], work[3]"),
     ("sampling", "block_sizes gives the extra samples to the last blocks",
      "(1 if b < extra else 0)", "(1 if b >= blocks - extra else 0)"),
     ("sampling", "master seed range 65 bits",
@@ -135,11 +139,11 @@ MUTATIONS = [
      "for _ in range(min(_cpu_count(), len(sizes)))]"),
     ("spectrum", "degenerate bound bins over [0, 1/2]",
      "hi = bound if bound > 0 else 1.0", "hi = bound if bound > 0 else 0.5"),
-    ("spectrum", "Gram buffer sized for T1 alone",
-     "size * max(n * n, part.d1 ** 4)", "size * n * n"),
     ("spectrum", "part count taken per block instead of from the largest block",
      "for k in _equal_parts(sizes[b], parts) if k]",
      "for k in _equal_parts(sizes[b], -(-sizes[b] // substack_size(n))) if k]"),
+    ("spectrum", "evaluation's rows shifted, so the Grams overwrite the gates' row",
+     "workspace[:3])", "workspace[1:])"),
     ("spectrum", "empty parts evaluated",
      "for k in _equal_parts(sizes[b], parts) if k]", "for k in _equal_parts(sizes[b], parts)]"),
     ("tensorops", "ensure_finite checks only the real part",

@@ -9,8 +9,9 @@ parent commit and in the working tree::
 
 Covered: ``eval`` (closed form and oracle) and ``mc`` (seed 9, 1000 and 2e5
 samples) for every ``--gate`` name; ``dist`` for the four ``haar-dist``
-benchmark configurations and ``optimize`` for the three ``search`` ones, each
-at seeds 1-3; the optimizer at criterion 7's six configurations (seed 1007);
+benchmark configurations and at 4x2, and ``optimize`` for the three ``search``
+ones and at 3x2 and 4x2, each at seeds 1-3 (the shapes with ``d1 > d2`` take
+the ``A0`` Gram on the other side from those with ``d1 <= d2``); the optimizer at criterion 7's six configurations (seed 1007);
 ``verify`` with and without ``--file``; and ``exhaustive_permutation_max`` at
 every shape with ``d1 d2 <= 10``.  Each command's stdout, output file and
 manifest are digested; a manifest without its ``wall_time``.
@@ -36,8 +37,8 @@ from entpow import Bipartition, SeedSpec, exhaustive_permutation_max, maximize_e
 from entpow.cli import GATES, main  # noqa: E402
 from test_acceptance import OPTIMIZER_CASES  # noqa: E402
 
-DIST_CONFIGS = [(2, 2, 20000), (3, 3, 20000), (3, 4, 5000), (5, 5, 5000)]
-SEARCH_CONFIGS = [(2, 2, 4, 2000), (2, 3, 6, 2500), (2, 4, 6, 6000)]
+DIST_CONFIGS = [(2, 2, 20000), (3, 3, 20000), (3, 4, 5000), (5, 5, 5000), (4, 2, 20000)]
+SEARCH_CONFIGS = [(2, 2, 4, 2000), (2, 3, 6, 2500), (2, 4, 6, 6000), (3, 2, 6, 2500), (4, 2, 6, 6000)]
 
 
 def emit(label: str, data: bytes) -> None:

@@ -636,6 +636,16 @@ def test_import_leaves_concurrent_futures_unloaded():
     assert done.stdout.strip() == "False", done.stderr
 
 
+def test_parser_leaves_numpy_random_unloaded():
+    # numpy loads it lazily; its import takes about 10 ms, which only commands that draw need
+    code = ("import sys, entpow.cli; entpow.cli.build_parser(); "
+            "print('numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.stdout.strip() == "False", done.stderr
+
+
 def test_parser_is_built_once_per_process(capsys, monkeypatch, tmp_path):
     out = tmp_path / "r.json"
     assert main(["eval", "--gate", "cnot", "--out", str(out)]) == EXIT_OK

@@ -129,10 +129,15 @@ class TestClosedForm:
 
 
 def tensordot_i0_i1(m, part):
-    """The closed-form traces through two tensordots and vdot, one gate at a time."""
+    """The closed-form traces through two tensordots and vdot, one gate at a time.
+
+    ``T0`` is contracted on the smaller side: over the d2 indices when ``d1 <= d2``,
+    over the d1 indices otherwise, as the kernel takes it.
+    """
     d1, d2 = part.d1, part.d2
     u = m.reshape(d1, d2, d1, d2)
-    t0 = np.tensordot(u, u.conj(), axes=([1, 3], [1, 3]))
+    side = [1, 3] if d1 <= d2 else [0, 2]
+    t0 = np.tensordot(u, u.conj(), axes=(side, side))
     t1 = np.tensordot(u, u.conj(), axes=([0, 3], [0, 3]))
     return d1 * d2 * d2 + float(np.vdot(t0, t0).real), d1 * d1 * d2 + float(np.vdot(t1, t1).real)
 

@@ -164,12 +164,11 @@ class TestStackedHaarDraw:
 
     @pytest.mark.parametrize("n", [1, 2, 4, 9])
     def test_draw_in_used_buffers_equals_a_fresh_draw(self, n):
-        # dist's slots are larger than one sub-stack and hold the last one's arrays; NaN stands
-        # in for those, so a slot read before this draw writes it, or after another step has
-        # reused it, would show
+        # dist's workspace rows are longer than one sub-stack and hold the last one's arrays; NaN
+        # stands in for those, so a row read before this draw writes it, or after another step
+        # has reused it, would show
         count, room = 5, 7
-        work = (np.full(2 * room * n * n, np.nan),
-                *(np.full(room * n * n, complex(np.nan, np.nan)) for _ in range(3)))
+        work = np.full((4, room * n * n), complex(np.nan, np.nan))
         drawn = _haar_unitary_from([(SeedSpec(65, n).generator(), count)], n, work)
         assert_array_equal(drawn, _haar_unitary_from([(SeedSpec(65, n).generator(), count)], n))
 

@@ -14,7 +14,7 @@ import entpow.spectrum
 from entpow import Bipartition, SeedSpec, ValidationError, haar_mean, sample_q, upper_bound
 from entpow.sampling import _haar_unitary_from, block_sizes
 from entpow.power import ep_values, substack_size
-from entpow.spectrum import _buffers, _haar_values
+from entpow.spectrum import _haar_values
 
 from test_sampling import per_matrix_draw
 from two_qubit import KS_CRITICAL_001, exact_bin_probabilities, exact_mean, ks_gap
@@ -64,15 +64,16 @@ class TestSampleQ:
 
 
 def per_gate_values(part, n_samples, seed):
-    """One Haar draw and one tensordot closed form per gate, block by block."""
+    """One Haar draw and one tensordot closed form per gate, block by block; ``T0`` on the smaller side."""
     d1, d2, n = part.d1, part.d2, part.dim
+    side = [1, 3] if d1 <= d2 else [0, 2]
     c = 1.0 / (d1 * (d1 + 1)) * (1.0 / (d2 * (d2 + 1)))
     values = []
     for b, count in enumerate(block_sizes(n_samples)):
         rng = seed.substream(b).generator()
         for _ in range(count):
             u = per_matrix_draw(rng, n).reshape(d1, d2, d1, d2)
-            t0 = np.tensordot(u, u.conj(), axes=([1, 3], [1, 3]))
+            t0 = np.tensordot(u, u.conj(), axes=(side, side))
             t1 = np.tensordot(u, u.conj(), axes=([0, 3], [0, 3]))
             i0 = d1 * d2 * d2 + float(np.vdot(t0, t0).real)
             i1 = d1 * d1 * d2 + float(np.vdot(t1, t1).real)
@@ -83,8 +84,8 @@ def per_gate_values(part, n_samples, seed):
 class TestBatchedSampling:
     # each input's blocks are one gate above and at a multiple of the sub-stack, so the
     # smaller blocks split into the larger ones' part count rather than their own; 5x5
-    # splits into three parts; at 4x2, T0 has d1^4 > n^2 entries per gate; at 1x7 the
-    # rearrangements are views of the gates
+    # splits into three parts; at 4x2, A0 is transposed so that T0 is taken on the smaller
+    # side and has d2^4 < n^2 entries per gate; at 1x7 the rearrangements are views of the gates
     @pytest.mark.parametrize("d1, d2, n_samples", [(3, 3, 64 * 202 + 5), (3, 4, 64 * 113 + 7),
                                                    (5, 5, 64 * 52 + 3), (4, 2, 64 * 256 + 5),
                                                    (1, 7, 64 * 334 + 5)])
@@ -118,16 +119,15 @@ class TestBatchedSampling:
 
     @pytest.mark.parametrize("d1, d2", [(2, 2), (3, 3), (5, 5), (4, 2)])
     def test_a_sub_stack_allocates_under_a_quarter_buffer(self, d1, d2):
-        # the draw and the evaluation work in the thread's buffers; what they allocate
-        # besides (index arrays, the values) stays below a quarter of the smallest buffer
+        # the draw and the evaluation work in the thread's workspace; what they allocate
+        # besides (index arrays, the values) stays below a quarter of one of its rows
         part = Bipartition(d1, d2)
         count = substack_size(part.dim)
-        buffers = _buffers(part, count)
-        evaluation = (buffers[0].view(complex), *buffers[1:3])
+        workspace = np.empty((4, count * part.dim ** 2), dtype=complex)
         rng = SeedSpec(82).generator()
 
         def sub_stack():
-            return ep_values(_haar_unitary_from([(rng, count)], part.dim, buffers), part, evaluation)
+            return ep_values(_haar_unitary_from([(rng, count)], part.dim, workspace), part, workspace[:3])
 
         sub_stack()    # caches the index arrays
         tracemalloc.start()
@@ -136,7 +136,7 @@ class TestBatchedSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < buffers[3].nbytes / 4
+        assert peak < workspace[3].nbytes / 4
 
     # 1, 63 and 64 samples give one-gate blocks; 64 * 3 + 5 gives blocks of 3 and 4
     @pytest.mark.parametrize("n_samples", [1, 63, 64, 64 * 3 + 5])
