@@ -10,10 +10,11 @@ parent commit and in the working tree::
 Covered: ``eval`` (closed form and oracle) and ``mc`` (seed 9, 1000 and 2e5
 samples) for every ``--gate`` name; ``dist`` for the four ``haar-dist``
 benchmark configurations and at 4x2, and ``optimize`` for the three ``search``
-ones and at 3x2 and 4x2, each at seeds 1-3 (the shapes with ``d1 > d2`` take
-the ``A0`` Gram on the other side from those with ``d1 <= d2``); the optimizer at criterion 7's six configurations (seed 1007);
-``verify`` with and without ``--file``; and ``exhaustive_permutation_max`` at
-every shape with ``d1 d2 <= 10``.  Each command's stdout, output file and
+ones and at 3x2 and 4x2, each at seeds 1-3 (shapes with ``d1 > d2`` take the
+``A0`` Gram on the other side from those with ``d1 <= d2``); the optimizer at
+criterion 7's six configurations (seed 1007); ``verify`` with and without
+``--file``; and ``exhaustive_permutation_max`` at every shape with ``d1 d2 <=
+10``.  Each command's stdout, output file and
 manifest are digested; a manifest without its ``wall_time``.
 
 ``entpow`` is imported from the ``src`` directory of the tree this file is in.
