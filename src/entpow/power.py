@@ -119,10 +119,9 @@ def _linear_entropies(states: np.ndarray, part: Bipartition) -> np.ndarray:
     return 1.0 - _frobenius2(_gram(m))
 
 
-def _gram(a: np.ndarray, conj: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """``A A^dag`` for each matrix of a stack; written into ``conj`` (scratch) and ``out`` when given."""
-    c = a.conj() if conj is None else np.conjugate(a, out=conj)
-    return np.matmul(a, c.transpose(0, 2, 1), out=out)
+def _gram(a: np.ndarray) -> np.ndarray:
+    """``A A^dag`` for each matrix of a stack."""
+    return np.matmul(a, a.conj().transpose(0, 2, 1))
 
 
 #: the ``(axes, undo)`` pairs of ``A0`` and ``A1`` (see :func:`_rearrangements`), keyed by
@@ -148,7 +147,7 @@ def _gate_shape(n, part: Bipartition) -> tuple:
     return n, part.d1, part.d2, part.d1, part.d2
 
 
-def _i0_i1(stack: np.ndarray, part: Bipartition, work: np.ndarray | None = None) -> tuple:
+def _i0_i1(stack: np.ndarray, part: Bipartition) -> tuple:
     """The two exchange-operator traces of a stack of gates, and the stacks behind them.
 
     Each gate ``u``, its row and its column index each split into a ``(d1,
@@ -160,31 +159,16 @@ def _i0_i1(stack: np.ndarray, part: Bipartition, work: np.ndarray | None = None)
     and ``T1`` is ``n x n``.  Then ``I0 = n d2 + ||T0||^2`` and ``I1 = n d1 +
     ||T1||^2``; the third value is ``(A0, T0, A1, T1)``, from which
     :func:`_gradients` reads the gradient.
-
-    ``work`` supplies the memory instead: a complex array of three rows of
-    at least ``N n^2`` entries each, for the conjugate of ``A``, for ``A``
-    and for ``T``.  Each rearrangement and its Gram are written into them
-    and reduced to the trace before the next starts, so the third value is
-    ``None``.
     """
     u = stack.reshape(_gate_shape(-1, part))
-    n = u.shape[0]
     traces, stacks = [], []
     for (axes, _), factor in zip(_rearrangements(part), (part.d2, part.d1)):
         r = u.transpose(axes)
-        rows = r.shape[1] * r.shape[2]
-        if work is None:
-            a = r.reshape(n, rows, -1)
-            t = _gram(a)
-            stacks += [a, t]
-        else:
-            conj, rearranged, gram = work
-            a = _leading(rearranged, r.shape)
-            a[...] = r
-            a = a.reshape(n, rows, -1)
-            t = _gram(a, _leading(conj, a.shape), _leading(gram, (n, rows, rows)))
+        a = r.reshape(u.shape[0], r.shape[1] * r.shape[2], -1)
+        t = _gram(a)
+        stacks += [a, t]
         traces.append(part.dim * factor + _frobenius2(t))
-    return traces[0], traces[1], tuple(stacks) if work is None else None
+    return traces[0], traces[1], tuple(stacks)
 
 
 def _frobenius2(t: np.ndarray) -> np.ndarray:
@@ -196,18 +180,56 @@ def _closed_form(i0, i1, part: Bipartition):
     return 1.0 - _c(part.d1) * _c(part.d2) * (i0 + i1)
 
 
-def ep_values(stack: np.ndarray, part: Bipartition, work: np.ndarray | None = None) -> np.ndarray:
+class _EvalPlan:
+    """The views and constants of :func:`_i0_i1`'s traces of one stack, in three workspace rows.
+
+    ``work`` is a complex array of three rows of at least ``N n^2`` entries
+    each, for the conjugate of ``A``, for ``A`` and for ``T``.  For each
+    rearrangement the plan holds its trace constant, ``n d2`` for ``I0`` and
+    ``n d1`` for ``I1``, its view of ``stack``, its slots in the rows, the
+    conjugate's transpose and the Gram's flat view; and it holds ``C =
+    C_{d1} C_{d2}``.  A plan serves any number of evaluations of whatever
+    ``stack`` holds at the time.
+    """
+
+    def __init__(self, stack: np.ndarray, part: Bipartition, work: np.ndarray):
+        u = stack.reshape(_gate_shape(-1, part))
+        n = u.shape[0]
+        conj, rearranged, gram = work
+        self.c = _c(part.d1) * _c(part.d2)
+        self.steps = []
+        for (axes, _), offset in zip(_rearrangements(part), (part.dim * part.d2, part.dim * part.d1)):
+            r = u.transpose(axes)
+            rows = r.shape[1] * r.shape[2]
+            slot = _leading(rearranged, r.shape)
+            a, t = slot.reshape(n, rows, -1), _leading(gram, (n, rows, rows))
+            c = _leading(conj, a.shape)
+            self.steps.append((offset, r, slot, a, c, c.transpose(0, 2, 1), t, t.reshape(n, -1)))
+
+
+def ep_values(stack: np.ndarray, part: Bipartition, work: _EvalPlan | np.ndarray | None = None) -> np.ndarray:
     """Closed-form entangling power of a stack of (unvalidated) unitaries, ``(N, n, n) -> (N,)``.
 
     The one closed-form kernel: :func:`ep_value` and :func:`ep_closed` are its
     ``N = 1`` case (a single ``(n, n)`` matrix counts as a stack of one), and
-    sampling loops call it on whole stacks of gates.  ``work``, three complex
-    rows of at least ``N n^2`` entries as described in ``_i0_i1``, lets a
-    loop over complex stacks reuse one workspace (``dist``'s is described in
-    :mod:`entpow.spectrum`); the values are the same bit for bit.
+    sampling loops call it on whole stacks of gates.  ``work`` lets a loop
+    over complex stacks reuse one workspace: an :class:`_EvalPlan` built on
+    ``stack``, or three workspace rows, on which one is built first.  Each
+    rearrangement and its Gram are then written into the plan's slots and
+    reduced to the trace before the next starts; the values are the same
+    bit for bit.
     """
-    i0, i1, _ = _i0_i1(stack, part, work)
-    return _closed_form(i0, i1, part)
+    if work is None:
+        i0, i1, _ = _i0_i1(stack, part)
+        return _closed_form(i0, i1, part)
+    plan = work if isinstance(work, _EvalPlan) else _EvalPlan(stack, part, work)
+    traces = []
+    for offset, r, slot, a, c, c_t, t, flat in plan.steps:
+        np.copyto(slot, r)
+        np.conjugate(a, out=c)
+        np.matmul(a, c_t, out=t)
+        traces.append(offset + np.vecdot(flat, flat).real)
+    return 1.0 - plan.c * (traces[0] + traces[1])
 
 
 #: matrix entries per sub-stack of matrices (see :func:`substack_size`); caps

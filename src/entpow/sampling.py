@@ -115,7 +115,50 @@ def _lower_triangle(n: int):
     return np.tril_indices(n)
 
 
-def _haar_unitary_from(draws, n: int, work: np.ndarray | None = None) -> np.ndarray:
+class _DrawPlan:
+    """The views one draw of ``count`` ``n x n`` Haar unitaries works through, laid out once.
+
+    ``work`` is the draw's memory: a complex array of four rows of at least
+    ``count n^2`` entries each.  Each row takes, in turn, only what no later
+    step reads from it again:
+
+    - the first, read as ``2 count n^2`` floats: the Gaussians ``g``, then the
+      squared imaginary parts, then ``beta`` (as complex numbers with zero
+      imaginary parts) and, in place, its signs;
+    - the second: ``x``, held row by row across the stack as an ``(n,
+      count, n)`` array and scaled in place into the reflectors, of which
+      ``zungqr`` reads only the strict lower triangle; then the signs,
+      repeated down each column;
+    - the third: ``tau``;
+    - the fourth: the squared real parts, as an ``(n, count, n)`` float array
+      to which the imaginary ones are added and which is summed over its
+      first axis; then ``alpha``, turned in place into ``1 / (alpha -
+      beta)``; then ``zungqr``'s output ``q``, which the draw returns.
+
+    A ufunc buffers any operand it has to cast or cannot read in one stride,
+    up to 8192 entries; hence the complex ``beta``, the copied ``alpha``,
+    the rows scaled one at a time and the repeated signs.  So a draw through
+    a plan allocates no array of ``count n`` or more entries, and its values
+    do not depend on the rows' earlier contents.  A plan serves any number of
+    draws of ``count`` matrices, one after another.
+    """
+
+    def __init__(self, work: np.ndarray, count: int, n: int):
+        gauss, mats, taus, out = work[0].view(float), *work[1:]
+        self.g = _leading(gauss, (count, 2, n * (n + 1) // 2))
+        self.g_real, self.g_imag = self.g[:, 0].T, self.g[:, 1].T
+        x = _leading(mats, (n, count, n))
+        self.x, self.x_rows, self.x_real, self.x_imag = x, list(x), x.real, x.imag
+        self.lower = _lower_triangle(n)
+        self.diagonal, self.reflectors = np.diagonal(x, axis1=0, axis2=2), x.transpose(1, 0, 2)
+        self.squares, self.imag2 = _leading(out.view(float), x.shape), _leading(gauss, x.shape)
+        self.beta, self.tau, self.alpha = (_leading(slot, (count, n)) for slot in (work[0], taus, out))
+        self.beta_real, self.beta_imag, self.alpha_real = self.beta.real, self.beta.imag, self.alpha.real
+        self.q, self.signs = _leading(out, (count, n, n)), _leading(mats, (count, n, n))
+        self.column_signs = self.beta[:, None, :]
+
+
+def _haar_unitary_from(draws, n: int, work: _DrawPlan | np.ndarray | None = None) -> np.ndarray:
     """A stack of Haar unitaries drawn by ``(generator, count)`` pairs, taken in order.
 
     Each pair's generator draws its ``count`` matrices one after another, and
@@ -134,66 +177,41 @@ def _haar_unitary_from(draws, n: int, work: np.ndarray | None = None) -> np.ndar
     ``zungqr`` of the whole stack multiplies the reflectors out, and column
     ``j`` is multiplied by ``sign(beta_j)`` in place.
 
-    ``work`` is the draw's memory: a complex array of four rows of at least
-    ``count n^2`` entries each.  Each row takes, in turn, only what no later
-    step reads from it again:
-
-    - the first, read as ``2 count n^2`` floats: the Gaussians, then the
-      squared imaginary parts, then ``beta`` (as complex numbers with zero
-      imaginary parts) and, in place, its signs;
-    - the second: ``x``, held row by row across the stack as an ``(n,
-      count, n)`` array and scaled in place into the reflectors, of which
-      ``zungqr`` reads only the strict lower triangle; then the signs,
-      repeated down each column;
-    - the third: ``tau``;
-    - the fourth: the squared real parts, as an ``(n, count, n)`` float array
-      to which the imaginary ones are added and which is summed over its
-      first axis; then ``alpha``, turned in place into ``1 / (alpha -
-      beta)``; then ``zungqr``'s output, which is returned.
-
-    A ufunc buffers any operand it has to cast or cannot read in one stride,
-    up to 8192 entries; hence the complex ``beta``, the copied ``alpha``,
-    the rows scaled one at a time and the repeated signs.  So a call
-    allocates no array of ``count n`` or more entries, and the values do not
-    depend on the rows' earlier contents.  Without ``work`` the four rows
-    are allocated.  ``dist`` passes its threads' workspaces, whose first
-    three rows :func:`ep_values` then takes (:mod:`entpow.spectrum`).
+    ``work`` is a :class:`_DrawPlan` for the summed ``count``, whose views the
+    draw runs through and whose ``q`` it returns; or a four-row workspace,
+    or ``None`` for four allocated rows, on which a plan is built first.
     """
-    count = sum(k for _, k in draws)
-    work = np.empty((4, count * n * n), dtype=complex) if work is None else work
-    gauss, mats, taus, out = work[0].view(float), *work[1:]
-    m = n * (n + 1) // 2
-    g, x = _leading(gauss, (count, 2, m)), _leading(mats, (n, count, n))
-    start = 0
+    if not isinstance(work, _DrawPlan):
+        count = sum(k for _, k in draws)
+        work = _DrawPlan(np.empty((4, count * n * n), dtype=complex) if work is None else work, count, n)
+    p, start = work, 0
     for rng, k in draws:
-        rng.standard_normal(out=g[start:start + k])
+        rng.standard_normal(out=p.g[start:start + k])
         start += k
-    np.multiply(g, 1.0 / np.sqrt(2.0), out=g)
-    rows, cols = _lower_triangle(n)
-    x.fill(0)
-    x.real[rows, :, cols] = g[:, 0].T
-    x.imag[rows, :, cols] = g[:, 1].T
+    np.multiply(p.g, 1.0 / np.sqrt(2.0), out=p.g)
+    rows, cols = p.lower
+    p.x.fill(0)
+    p.x_real[rows, :, cols] = p.g_real
+    p.x_imag[rows, :, cols] = p.g_imag
     # squares[i, :, j] = |x_ij|^2, 0 above the diagonal; the sum over i adds one row at a
     # time, so each column sums from the diagonal down
-    squares, imag2 = _leading(out.view(float), x.shape), _leading(gauss, x.shape)
-    np.square(x.real, out=squares)
-    np.square(x.imag, out=imag2)
-    np.add(squares, imag2, out=squares)
-    beta, tau, alpha = (_leading(slot, (count, n)) for slot in (work[0], taus, out))
-    beta.imag = 0
-    np.sum(squares, axis=0, out=beta.real)
-    np.copyto(alpha, np.diagonal(x, axis1=0, axis2=2))
-    np.negative(np.copysign(np.sqrt(beta.real, out=beta.real), alpha.real, out=beta.real), out=beta.real)
-    np.divide(np.subtract(beta, alpha, out=tau), beta, out=tau)
-    scales = np.divide(1, np.subtract(alpha, beta, out=alpha), out=alpha)
-    for row in x:
+    np.square(p.x_real, out=p.squares)
+    np.square(p.x_imag, out=p.imag2)
+    np.add(p.squares, p.imag2, out=p.squares)
+    p.beta_imag.fill(0)
+    np.sum(p.squares, axis=0, out=p.beta_real)
+    np.copyto(p.alpha, p.diagonal)
+    np.negative(np.copysign(np.sqrt(p.beta_real, out=p.beta_real), p.alpha_real, out=p.beta_real),
+                out=p.beta_real)
+    np.divide(np.subtract(p.beta, p.alpha, out=p.tau), p.beta, out=p.tau)
+    scales = np.divide(1, np.subtract(p.alpha, p.beta, out=p.alpha), out=p.alpha)
+    for row in p.x_rows:
         row *= scales     # the diagonal and the zeros above it are not read
-    q = qr_reduced(x.transpose(1, 0, 2), tau, out=_leading(out, (count, n, n)))
-    np.sign(beta.real, out=beta.real)
-    signs = _leading(mats, q.shape)
-    np.copyto(signs, beta[:, None, :])
-    q *= signs
-    return q
+    qr_reduced(p.reflectors, p.tau, out=p.q)
+    np.sign(p.beta_real, out=p.beta_real)
+    np.copyto(p.signs, p.column_signs)
+    np.multiply(p.q, p.signs, out=p.q)
+    return p.q
 
 
 def _equal_parts(total: int, parts: int) -> list[int]:

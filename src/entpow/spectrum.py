@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import ValidationError
 # ep_value is unused here but stays bound: bench/spans.py traces entpow.spectrum.ep_value
-from .power import ep_value, ep_values, substack_size, upper_bound  # noqa: F401
-from .sampling import SeedSpec, _equal_parts, _haar_unitary_from, block_sizes
+from .power import _EvalPlan, ep_value, ep_values, substack_size, upper_bound  # noqa: F401
+from .sampling import SeedSpec, _DrawPlan, _equal_parts, _haar_unitary_from, block_sizes
 from .tensorops import Bipartition
 
 
@@ -97,20 +97,25 @@ def _haar_values(part: Bipartition, n_samples: int, seed: SeedSpec) -> np.ndarra
     block's within :func:`substack_size`.  So the largest sub-stack, not the
     cap, sizes the one workspace each thread allocates: a complex array of
     four rows of ``size n^2`` entries, for sub-stacks of at most ``size``
-    gates.  A sub-stack is one :func:`_haar_unitary_from` call with the
-    block's one ``(generator, count)`` pair, which draws each gate by
-    Stewart's Householder recipe (:mod:`entpow.sampling`; it replaced
-    Mezzadri's QR, and every ``dist`` output changed once with it) in one
-    ``zungqr``, in the four rows as its docstring lists, and leaves the
-    gates in the fourth; then :func:`ep_values` takes the first three rows,
-    and writes the conjugates into the first, ``A0`` and then ``A1`` into
-    the second, and ``T0`` and then ``T1`` into the third.  Every Gram fits
-    a row because ``T0`` is taken on the smaller side (:mod:`entpow.power`).
-    So a sub-stack allocates only its values and traces, a few entries per
-    gate.  Blocks are concatenated in stream order, so the values do not
-    depend on the number of CPUs.  Once a block raises, no thread starts
-    another, and the first exception is re-raised after every helper is
-    joined.
+    gates.  Parts come in at most two sizes, and each thread plans each size
+    once per call, before it takes a block: a :class:`_DrawPlan` lays out
+    every view, slot and index array of the draw in the four rows, and an
+    :class:`_EvalPlan` on the draw's output ``q``, in the fourth row, lays
+    out the evaluation's in the first three, with its trace constants.  A
+    sub-stack is then one :func:`_haar_unitary_from` call with the block's
+    one ``(generator, count)`` pair and its size's draw plan, which draws
+    each gate by Stewart's Householder recipe (:mod:`entpow.sampling`; it
+    replaced Mezzadri's QR, and every ``dist`` output changed once with it)
+    in one ``zungqr``; and one :func:`ep_values` call with the evaluation
+    plan, which writes the conjugates into the first row, ``A0`` and then
+    ``A1`` into the second, and ``T0`` and then ``T1`` into the third.  So
+    every sub-stack of a size runs the same numpy calls on the same views.
+    Every Gram fits a row because ``T0`` is taken on the smaller side
+    (:mod:`entpow.power`).  A sub-stack allocates only its values and
+    traces, a few entries per gate.  Blocks are concatenated in stream
+    order, so the values do not depend on the number of CPUs.  Once a block
+    raises, no thread starts another, and the first exception is re-raised
+    after every helper is joined.
     """
     n = part.dim
     sizes = block_sizes(n_samples)
@@ -118,17 +123,22 @@ def _haar_values(part: Bipartition, n_samples: int, seed: SeedSpec) -> np.ndarra
     blocks = [None] * len(sizes)
     claims = itertools.count()    # next() on it is one C call, so the GIL makes it atomic
     failures = []
+    # a block one gate short of the largest has an empty part when parts equal its size
+    part_sizes = {k for size in set(sizes) for k in _equal_parts(size, parts) if k}
 
     def work():
         try:
-            workspace = np.empty((4, -(-max(sizes) // parts) * n * n), dtype=complex)
+            workspace = np.empty((4, max(part_sizes) * n * n), dtype=complex)
+            plans = {}
+            for k in part_sizes:
+                draw = _DrawPlan(workspace, k, n)
+                plans[k] = draw, _EvalPlan(draw.q, part, workspace[:3])
             for b in claims:
                 if b >= len(sizes) or failures:
                     return
                 rng = seed.substream(b).generator()
-                # a block one gate short of the largest has an empty part when parts equal its size
                 blocks[b] = np.concatenate([
-                    ep_values(_haar_unitary_from([(rng, k)], n, workspace), part, workspace[:3])
+                    ep_values(_haar_unitary_from([(rng, k)], n, plans[k][0]), part, plans[k][1])
                     for k in _equal_parts(sizes[b], parts) if k])
         except BaseException as exc:     # re-raised by the calling thread below
             failures.append(exc)

@@ -71,29 +71,32 @@ MUTATIONS = [
      "_REARRANGEMENTS[part.d1 <= part.d2]", "_REARRANGEMENTS[part.d1 > part.d2]"),
     ("power", "gradient undoes the rearrangements by their forward axes",
      ".transpose(undo)", ".transpose(axes)"),
+    ("power", "the evaluation plan swaps the trace constants: n d1 for I0 and n d2 for I1",
+     "(part.dim * part.d2, part.dim * part.d1)", "(part.dim * part.d1, part.dim * part.d2)"),
     ("power", "ep_on_states accepts an empty list",
      "    if not states:\n", "    if False:\n"),
     ("sampling", "Haar sign fix multiplies rows",
-     "np.copyto(signs, beta[:, None, :])", "np.copyto(signs, beta[:, :, None])"),
+     "self.column_signs = self.beta[:, None, :]", "self.column_signs = self.beta[:, :, None]"),
     ("sampling", "Haar sign fix dropped",
-     "q *= signs", "q *= 1"),
+     "np.multiply(p.q, p.signs, out=p.q)", "np.multiply(p.q, 1, out=p.q)"),
     ("sampling", "Gaussians scaled by sqrt 2",
-     "np.multiply(g, 1.0 / np.sqrt(2.0), out=g)", "np.multiply(g, np.sqrt(2.0), out=g)"),
+     "np.multiply(p.g, 1.0 / np.sqrt(2.0), out=p.g)", "np.multiply(p.g, np.sqrt(2.0), out=p.g)"),
     ("sampling", "imaginary part read from the real Gaussian block",
-     "x.imag[rows, :, cols] = g[:, 1].T", "x.imag[rows, :, cols] = g[:, 0].T"),
+     "self.g_imag = self.g[:, 0].T, self.g[:, 1].T", "self.g_imag = self.g[:, 0].T, self.g[:, 0].T"),
     ("sampling", "reflected norm beta takes the sign of Re alpha",
-     "np.negative(np.copysign(np.sqrt(beta.real, out=beta.real), alpha.real, out=beta.real), out=beta.real)",
-     "np.copysign(np.sqrt(beta.real, out=beta.real), alpha.real, out=beta.real)"),
+     "np.negative(np.copysign(np.sqrt(p.beta_real, out=p.beta_real), p.alpha_real, out=p.beta_real),\n"
+     "                out=p.beta_real)",
+     "np.copysign(np.sqrt(p.beta_real, out=p.beta_real), p.alpha_real, out=p.beta_real)"),
     ("sampling", "tau conjugated, so zungqr multiplies the reflectors' adjoints",
-     "np.subtract(beta, alpha, out=tau)", "np.subtract(beta, alpha.conj(), out=tau)"),
+     "np.subtract(p.beta, p.alpha, out=p.tau)", "np.subtract(p.beta, p.alpha.conj(), out=p.tau)"),
     ("sampling", "Gaussians fill the lower triangle column by column",
      "return np.tril_indices(n)", "return np.triu_indices(n)[::-1]"),
     ("sampling", "matrix slot not zeroed, so the squares read its last contents above the diagonal",
-     "    x.fill(0)\n", ""),
+     "    p.x.fill(0)\n", ""),
     ("sampling", "beta's imaginary parts left as the slot held them",
-     "    beta.imag = 0\n", ""),
+     "    p.beta_imag.fill(0)\n", ""),
     ("sampling", "zungqr writes into the float slot, which still holds beta for the signs",
-     "tau, out=_leading(out, (count, n, n)))", "tau, out=_leading(work[0], (count, n, n)))"),
+     "self.q, self.signs = _leading(out,", "self.q, self.signs = _leading(work[0],"),
     ("sampling", "tau's row aliased to the matrices' row",
      "work[0].view(float), *work[1:]", "work[0].view(float), work[1], work[1], work[3]"),
     ("sampling", "block_sizes gives the extra samples to the last blocks",
@@ -144,6 +147,10 @@ MUTATIONS = [
      "for k in _equal_parts(sizes[b], -(-sizes[b] // substack_size(n))) if k]"),
     ("spectrum", "evaluation's rows shifted, so the Grams overwrite the gates' row",
      "workspace[:3])", "workspace[1:])"),
+    ("spectrum", "the larger part's plans reused for the smaller part",
+     "plans[k][0]), part, plans[k][1])", "plans[max(plans)][0]), part, plans[max(plans)][1])"),
+    ("spectrum", "evaluation plan built on the matrices' row, not on the draw's output",
+     "_EvalPlan(draw.q, part,", "_EvalPlan(draw.signs, part,"),
     ("spectrum", "empty parts evaluated",
      "for k in _equal_parts(sizes[b], parts) if k]", "for k in _equal_parts(sizes[b], parts)]"),
     ("tensorops", "ensure_finite checks only the real part",

@@ -1,11 +1,14 @@
 """Print one sha256 per output whose bytes a change that keeps behaviour must not move.
 
-Run it in two trees and diff what it prints, for example in a clone of the
-parent commit and in the working tree::
+Run it in two trees and compare what they print, for example in a clone of
+the parent commit and in the working tree::
 
-    python3 tests/output_digests.py > after.txt
-    (cd /path/to/parent-clone && python3 tests/output_digests.py) > before.txt
-    diff before.txt after.txt
+    python3 tests/output_digests.py --against /path/to/parent-clone
+
+``--against PATH`` runs the script of the tree at ``PATH`` in a child
+interpreter, prints the label of every digest that differs between the two
+trees, or is printed by one tree only, and exits 1 if any does.  Without it
+the script prints every digest, one ``sha256  label`` line each.
 
 Covered: ``eval`` (closed form and oracle) and ``mc`` (seed 9, 1000 and 2e5
 samples) for every ``--gate`` name; ``dist`` for the four ``haar-dist``
@@ -23,11 +26,13 @@ Commands run in a fresh temporary directory with relative output names, so the
 ``test_`` prefix, so pytest does not collect it.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -92,7 +97,38 @@ def main_digests() -> None:
                  repr(exhaustive_permutation_max(Bipartition(d1, d2))).encode())
 
 
+def digests(printed: str) -> dict:
+    """``label -> sha256`` from the lines this script prints."""
+    return {label: digest for digest, label in (line.split("  ", 1) for line in printed.splitlines())}
+
+
+def against(tree: Path) -> int:
+    """Print the labels whose digests differ from those of the script in ``tree``; 1 if any do."""
+    child = subprocess.Popen([sys.executable, str(tree / "tests" / "output_digests.py")],
+                             stdout=subprocess.PIPE, text=True)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        main_digests()
+    theirs = child.communicate()[0]
+    if child.returncode:
+        sys.exit(f"output_digests.py in {tree} exited {child.returncode}")
+    theirs, ours = digests(theirs), digests(printed.getvalue())
+    differing = [label for label in {**theirs, **ours} if theirs.get(label) != ours.get(label)]
+    for label in differing:
+        print(label)
+    print(f"{len(differing)} differ: {len(ours)} digests here, {len(theirs)} in {tree}")
+    return 1 if differing else 0
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Print or compare digests of entpow's outputs.")
+    parser.add_argument("--against", type=Path, metavar="PATH",
+                        help="compare with the digests of the tree at PATH instead of printing them")
+    args = parser.parse_args()
+    tree = args.against.resolve() if args.against else None
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        main_digests()
+        if tree is None:
+            main_digests()
+        else:
+            sys.exit(against(tree))

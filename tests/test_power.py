@@ -4,7 +4,7 @@ import pytest
 import entpow.power
 from numpy.testing import assert_allclose
 
-from entpow.power import _gradients, _i0_i1
+from entpow.power import _EvalPlan, _gradients, _i0_i1
 from entpow.sampling import product_state_block
 
 from entpow import (Bipartition, DimensionError, ResourceLimitError, SeedSpec, UnitaryGate,
@@ -171,6 +171,22 @@ class TestStackedKernel:
                 assert (r.i0, r.i1) == ref
             else:
                 assert_allclose((r.i0, r.i1), ref, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("part", SMALL_PARTS, ids=str)
+    def test_workspace_equals_the_allocating_path(self, part):
+        # rows longer than the stack and NaN-filled, so a slot read before it is written shows;
+        # one plan serves every stack later copied into the array it was built on
+        count, n = 6, part.dim
+        work = np.full((3, 9 * n * n), complex(np.nan, np.nan))
+        held = np.empty((count, n, n), dtype=complex)
+        plan = _EvalPlan(held, part, work)
+        for k in range(3):
+            stack = np.stack([haar_unitary(n, SeedSpec(44 + k, j)) for j in range(count)])
+            expected = ep_values(stack, part)
+            assert np.array_equal(ep_values(stack, part, work), expected)
+            work.fill(complex(np.nan, np.nan))
+            held[...] = stack
+            assert np.array_equal(ep_values(held, part, plan), expected)
 
     @pytest.mark.parametrize("part", PARTS + [Bipartition(1, 3), Bipartition(3, 1)], ids=str)
     def test_single_gate_is_the_stack_of_one(self, part):

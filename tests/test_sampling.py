@@ -4,7 +4,7 @@ from numpy.linalg._umath_linalg import qr_reduced
 from numpy.testing import assert_allclose, assert_array_equal
 
 from entpow import Bipartition, DimensionError, SeedSpec, ValidationError, haar_state, haar_unitary, kron, linear_entropy
-from entpow.sampling import _haar_unitary_from, block_sizes, product_state_block
+from entpow.sampling import _DrawPlan, _haar_unitary_from, block_sizes, product_state_block
 
 
 def _moment(fn, d, n, seed):
@@ -171,6 +171,13 @@ class TestStackedHaarDraw:
         work = np.full((4, room * n * n), complex(np.nan, np.nan))
         drawn = _haar_unitary_from([(SeedSpec(65, n).generator(), count)], n, work)
         assert_array_equal(drawn, _haar_unitary_from([(SeedSpec(65, n).generator(), count)], n))
+        # one plan serves a stream's successive sub-stacks, as in dist, each drawn in rows
+        # filled with NaN again
+        plan, rng, fresh = _DrawPlan(work, count, n), SeedSpec(66, n).generator(), SeedSpec(66, n).generator()
+        for _ in range(3):
+            work.fill(complex(np.nan, np.nan))
+            assert_array_equal(_haar_unitary_from([(rng, count)], n, plan),
+                               _haar_unitary_from([(fresh, count)], n))
 
     def test_stack_is_unitary(self):
         for n in range(1, 26):

@@ -12,8 +12,8 @@ import pytest
 import entpow.power
 import entpow.spectrum
 from entpow import Bipartition, SeedSpec, ValidationError, haar_mean, sample_q, upper_bound
-from entpow.sampling import _haar_unitary_from, block_sizes
-from entpow.power import ep_values, substack_size
+from entpow.sampling import _DrawPlan, _haar_unitary_from, block_sizes
+from entpow.power import _EvalPlan, ep_values, substack_size
 from entpow.spectrum import _haar_values
 
 from test_sampling import per_matrix_draw
@@ -119,15 +119,17 @@ class TestBatchedSampling:
 
     @pytest.mark.parametrize("d1, d2", [(2, 2), (3, 3), (5, 5), (4, 2)])
     def test_a_sub_stack_allocates_under_a_quarter_buffer(self, d1, d2):
-        # the draw and the evaluation work in the thread's workspace; what they allocate
-        # besides (index arrays, the values) stays below a quarter of one of its rows
+        # the draw and the evaluation work through the thread's plans, in its workspace; what
+        # they allocate besides (the values and traces) stays below a quarter of one of its rows
         part = Bipartition(d1, d2)
         count = substack_size(part.dim)
         workspace = np.empty((4, count * part.dim ** 2), dtype=complex)
         rng = SeedSpec(82).generator()
+        draw = _DrawPlan(workspace, count, part.dim)
+        evaluation = _EvalPlan(draw.q, part, workspace[:3])
 
         def sub_stack():
-            return ep_values(_haar_unitary_from([(rng, count)], part.dim, workspace), part, workspace[:3])
+            return ep_values(_haar_unitary_from([(rng, count)], part.dim, draw), part, evaluation)
 
         sub_stack()    # caches the index arrays
         tracemalloc.start()
@@ -167,6 +169,28 @@ class TestBatchedSampling:
             sys.setswitchinterval(interval)
         assert histograms[0][1:] == (float(ref.mean()), float(ref.max()))
         assert all(h == histograms[0] for h in histograms)
+
+    def test_one_plan_per_thread_and_part_size(self, monkeypatch):
+        # blocks of 4 and of 3 gates, one part each: two part sizes, planned by every thread
+        # once per call, whether or not it takes a block of that size
+        part, seed, n_samples = Bipartition(2, 3), SeedSpec(83), 64 * 3 + 5
+        ref = per_gate_values(part, n_samples, seed)
+        real = entpow.spectrum._DrawPlan
+        built = []
+
+        def recording(work, count, n):
+            built.append((threading.current_thread(), count))
+            return real(work, count, n)
+
+        monkeypatch.setattr(entpow.spectrum, "_DrawPlan", recording)
+        for cpus in (1, 2, 3, 65):
+            monkeypatch.setattr(entpow.spectrum, "_cpu_count", lambda: cpus)
+            built.clear()
+            assert np.array_equal(_haar_values(part, n_samples, seed), ref)
+            threads = {t for t, _ in built}
+            assert len(threads) == min(cpus, len(block_sizes(n_samples)))
+            assert len(set(built)) == len(built) == 2 * len(threads)
+            assert {count for _, count in built} == {3, 4}
 
     def test_failed_block_stops_the_threads_and_is_raised(self, monkeypatch):
         # 10 gates per block at 2x2 make one ep_values call per block
