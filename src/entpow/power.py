@@ -207,7 +207,8 @@ class _EvalPlan:
             self.steps.append((offset, r, slot, a, c, c.transpose(0, 2, 1), t, t.reshape(n, -1)))
 
 
-def ep_values(stack: np.ndarray, part: Bipartition, work: _EvalPlan | np.ndarray | None = None) -> np.ndarray:
+def ep_values(stack: np.ndarray, part: Bipartition,
+              work: _EvalPlan | np.ndarray | None = None) -> np.ndarray:
     """Closed-form entangling power of a stack of (unvalidated) unitaries, ``(N, n, n) -> (N,)``.
 
     The one closed-form kernel: :func:`ep_value` and :func:`ep_closed` are its
