@@ -131,15 +131,21 @@ _REARRANGEMENTS = {d1_le_d2: tuple((axes, tuple(np.argsort(axes).tolist())) for 
 
 
 def _rearrangements(part: Bipartition) -> tuple:
-    """The ``(axes, undo)`` pairs that rearrange a stack of gates on ``part`` into ``A0`` and ``A1``.
+    """The ``(axes, undo, constant)`` of ``A0`` and of ``A1`` for a stack of gates on ``part``.
 
     The stack is indexed ``(gate, a, b, c, d)`` for ``U[(a, b), (c, d)]``.
     ``A0`` pairs the d1 indices and the d2 indices, with the smaller factor's
     pair as rows: ``A0[(a, c), (b, d)]`` when ``d1 <= d2``, its transpose
     ``A0[(b, d), (a, c)]`` otherwise.  ``A1`` is ``A1[(b, c), (a, d)]``.  So
-    no Gram ``A A^dag`` has more than ``(d1 d2)^2`` entries.
+    no Gram ``A A^dag`` has more than ``(d1 d2)^2`` entries.  ``axes``
+    rearranges the stack, ``undo`` (its argsort) puts it back, and
+    ``constant`` is the trace constant, ``n d2`` for ``I0`` and ``n d1`` for
+    ``I1`` with ``n = d1 d2``.  This is the one place the constants are
+    written: :func:`_i0_i1`, :class:`_EvalPlan` and :func:`_gradients` read
+    them from here.
     """
-    return _REARRANGEMENTS[part.d1 <= part.d2]
+    return tuple((axes, undo, part.dim * factor)
+                 for (axes, undo), factor in zip(_REARRANGEMENTS[part.d1 <= part.d2], (part.d2, part.d1)))
 
 
 def _gate_shape(n, part: Bipartition) -> tuple:
@@ -157,80 +163,88 @@ def _i0_i1(stack: np.ndarray, part: Bipartition) -> tuple:
     Gram ``T = A A^dag`` has at most ``n^2`` entries, ``n = d1 d2``: ``T0`` is
     the ``a^2 x a^2`` Gram of ``A0`` on the smaller side, ``a = min(d1, d2)``,
     and ``T1`` is ``n x n``.  Then ``I0 = n d2 + ||T0||^2`` and ``I1 = n d1 +
-    ||T1||^2``; the third value is ``(A0, T0, A1, T1)``, from which
-    :func:`_gradients` reads the gradient.
+    ||T1||^2``, with the constants of :func:`_rearrangements`; the third
+    value is ``(A0, T0, A1, T1)``, from which :func:`_gradients` reads the
+    gradient.  :func:`_closed_form` forms the value from the two traces.
+    This body allocates its arrays, which is cheapest for a stack evaluated
+    once; :class:`_EvalPlan` lays the same steps out in reused rows.
     """
     u = stack.reshape(_gate_shape(-1, part))
     traces, stacks = [], []
-    for (axes, _), factor in zip(_rearrangements(part), (part.d2, part.d1)):
+    for axes, _, constant in _rearrangements(part):
         r = u.transpose(axes)
-        a = r.reshape(u.shape[0], r.shape[1] * r.shape[2], -1)
+        a = r.reshape(len(u), r.shape[1] * r.shape[2], r.shape[3] * r.shape[4])
         t = _gram(a)
         stacks += [a, t]
-        traces.append(part.dim * factor + _frobenius2(t))
+        traces.append(constant + _frobenius2(t))
     return traces[0], traces[1], tuple(stacks)
 
 
 def _frobenius2(t: np.ndarray) -> np.ndarray:
-    flat = t.reshape(t.shape[0], -1)
+    flat = t.reshape(len(t), t.shape[1] * t.shape[2])
     return np.vecdot(flat, flat).real
 
 
 def _closed_form(i0, i1, part: Bipartition):
+    """``1 - C_{d1} C_{d2} (I0 + I1)``: the one place the value is formed from the traces."""
     return 1.0 - _c(part.d1) * _c(part.d2) * (i0 + i1)
 
 
 class _EvalPlan:
-    """The views and constants of :func:`_i0_i1`'s traces of one stack, in three workspace rows.
+    """The views of :func:`_i0_i1`'s traces of one stack, laid out once in three workspace rows.
 
     ``work`` is a complex array of three rows of at least ``N n^2`` entries
     each, for the conjugate of ``A``, for ``A`` and for ``T``.  For each
-    rearrangement the plan holds its trace constant, ``n d2`` for ``I0`` and
-    ``n d1`` for ``I1``, its view of ``stack``, its slots in the rows, the
-    conjugate's transpose and the Gram's flat view; and it holds ``C =
-    C_{d1} C_{d2}``.  A plan serves any number of evaluations of whatever
-    ``stack`` holds at the time.
+    rearrangement of :func:`_rearrangements` the plan holds its trace
+    constant, its view of ``stack``, its slots in the rows, the conjugate's
+    transpose and the Gram's flat view.  A plan serves any number of
+    evaluations of whatever ``stack`` holds at the time; :func:`ep_values`
+    runs them.
     """
 
     def __init__(self, stack: np.ndarray, part: Bipartition, work: np.ndarray):
         u = stack.reshape(_gate_shape(-1, part))
         n = u.shape[0]
         conj, rearranged, gram = work
-        self.c = _c(part.d1) * _c(part.d2)
         self.steps = []
-        for (axes, _), offset in zip(_rearrangements(part), (part.dim * part.d2, part.dim * part.d1)):
+        for axes, _, constant in _rearrangements(part):
             r = u.transpose(axes)
             rows = r.shape[1] * r.shape[2]
             slot = _leading(rearranged, r.shape)
-            a, t = slot.reshape(n, rows, -1), _leading(gram, (n, rows, rows))
+            a, t = slot.reshape(n, rows, r.shape[3] * r.shape[4]), _leading(gram, (n, rows, rows))
             c = _leading(conj, a.shape)
-            self.steps.append((offset, r, slot, a, c, c.transpose(0, 2, 1), t, t.reshape(n, -1)))
+            self.steps.append((constant, r, slot, a, c, c.transpose(0, 2, 1), t, t.reshape(n, rows * rows)))
 
 
-def ep_values(stack: np.ndarray, part: Bipartition,
-              work: _EvalPlan | np.ndarray | None = None) -> np.ndarray:
+def ep_values(stack: np.ndarray, part: Bipartition, plan: _EvalPlan | None = None) -> np.ndarray:
     """Closed-form entangling power of a stack of (unvalidated) unitaries, ``(N, n, n) -> (N,)``.
 
     The one closed-form kernel: :func:`ep_value` and :func:`ep_closed` are its
     ``N = 1`` case (a single ``(n, n)`` matrix counts as a stack of one), and
-    sampling loops call it on whole stacks of gates.  ``work`` lets a loop
-    over complex stacks reuse one workspace: an :class:`_EvalPlan` built on
-    ``stack``, or three workspace rows, on which one is built first.  Each
-    rearrangement and its Gram are then written into the plan's slots and
-    reduced to the trace before the next starts; the values are the same
-    bit for bit.
+    sampling loops call it on whole stacks of gates.  The trace constants
+    come from :func:`_rearrangements` and the value from :func:`_closed_form`
+    on either of two bodies, which give the same values bit for bit:
+
+    - without ``plan``, :func:`_i0_i1`, which allocates its arrays: cheapest
+      for a stack evaluated once, and it returns the Grams that the ascent of
+      :mod:`entpow.search` reuses for its gradients;
+    - with an :class:`_EvalPlan` built on ``stack``, the plan's loop, which
+      writes each rearrangement and its Gram into the plan's slots and reduces
+      them to the trace before the next starts: ``dist`` evaluates each of its
+      repeated sub-stacks through one plan per thread and part size, in one
+      call per sub-stack through ``entpow.spectrum``'s binding of this
+      function, which the tests patch to watch or fail the sub-stacks.
     """
-    if work is None:
+    if plan is None:
         i0, i1, _ = _i0_i1(stack, part)
         return _closed_form(i0, i1, part)
-    plan = work if isinstance(work, _EvalPlan) else _EvalPlan(stack, part, work)
     traces = []
-    for offset, r, slot, a, c, c_t, t, flat in plan.steps:
+    for constant, r, slot, a, c, c_t, t, flat in plan.steps:
         np.copyto(slot, r)
         np.conjugate(a, out=c)
         np.matmul(a, c_t, out=t)
-        traces.append(offset + np.vecdot(flat, flat).real)
-    return 1.0 - plan.c * (traces[0] + traces[1])
+        traces.append(constant + np.vecdot(flat, flat).real)
+    return _closed_form(*traces, part)
 
 
 #: matrix entries per sub-stack of matrices (see :func:`substack_size`); caps
@@ -276,7 +290,7 @@ def _gradients(a0: np.ndarray, t0: np.ndarray, a1: np.ndarray, t1: np.ndarray,
     """
     shape = _gate_shape(len(a0), part)
     g0, g1 = ((t @ a).reshape([shape[i] for i in axes]).transpose(undo)
-              for (axes, undo), a, t in zip(_rearrangements(part), (a0, a1), (t0, t1)))
+              for (axes, undo, _), a, t in zip(_rearrangements(part), (a0, a1), (t0, t1)))
     return (-4.0 * _c(part.d1) * _c(part.d2) * (g0 + g1)).reshape(len(a0), part.dim, part.dim)
 
 

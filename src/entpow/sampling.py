@@ -12,10 +12,8 @@ Haar unitaries are drawn by Stewart's recipe (SIAM J. Numer. Anal. 17, 403
 Gaussian vector, multiplied out by LAPACK's ``zungqr`` and fixed by the signs
 of the reflected norms.  Householder QR of a Ginibre matrix meets exactly such
 vectors column by column, so the law is the Haar law of Mezzadri's QR recipe
-(Notices AMS 54, 592 (2007)), which this package used before, from half the
-Gaussians and no QR factorization.  Every output drawn from Haar unitaries
-(``dist``, ``optimize``'s starts, ``verify``'s random gates) changed once
-with it; ``mc`` and ``haar_state`` draw no unitary and did not change.
+(Notices AMS 54, 592 (2007)), reached from half the Gaussians and no QR
+factorization.
 """
 
 # annotations stay unevaluated, so that importing this module does not load numpy.random
@@ -98,9 +96,8 @@ def haar_unitary(n: int, seed: SeedSpec) -> np.ndarray:
     docstring): a product of ``n`` Householder reflectors of fresh complex
     Gaussian vectors, with each column multiplied by the sign of its reflected
     norm, so the distribution is exactly invariant under fixed unitary
-    multiplication.  It replaced Mezzadri's QR recipe, so a seed draws another
-    matrix than it did before.  It is the stack of one that
-    :func:`_haar_unitary_from` draws from ``seed``'s generator.
+    multiplication.  It is the stack of one that :func:`_haar_unitary_from`
+    draws from ``seed``'s generator.
     """
     if n < 1:
         raise DimensionError(f"unitary dimension must be >= 1, got {n}")
@@ -158,7 +155,7 @@ class _DrawPlan:
         self.column_signs = self.beta[:, None, :]
 
 
-def _haar_unitary_from(draws, n: int, work: _DrawPlan | np.ndarray | None = None) -> np.ndarray:
+def _haar_unitary_from(draws, n: int, plan: _DrawPlan | None = None) -> np.ndarray:
     """A stack of Haar unitaries drawn by ``(generator, count)`` pairs, taken in order.
 
     Each pair's generator draws its ``count`` matrices one after another, and
@@ -169,22 +166,24 @@ def _haar_unitary_from(draws, n: int, work: _DrawPlan | np.ndarray | None = None
     ``sqrt 2``), they fill the lower triangle of a zeroed stack ``x`` in
     ``np.tril_indices`` order; column ``j`` of a matrix, from the diagonal
     down, is the Gaussian vector of reflector ``j`` (Stewart's recipe, SIAM
-    J. Numer. Anal. 17, 403 (1980), which replaced Mezzadri's QR; see the
-    module docstring).  The reflectors follow LAPACK ``zlarfg``: ``alpha =
-    x_jj``, ``beta = -copysign(|x_j|, Re alpha)``, ``tau = (beta - alpha) /
-    beta`` and, below the diagonal, ``v = x_j * (1 / (alpha - beta))``;
-    ``|x_j|^2`` adds the squared parts down the column in row order.  One
+    J. Numer. Anal. 17, 403 (1980); see the module docstring).  The
+    reflectors follow LAPACK ``zlarfg``: ``alpha = x_jj``, ``beta =
+    -copysign(|x_j|, Re alpha)``, ``tau = (beta - alpha) / beta`` and, below
+    the diagonal, ``v = x_j * (1 / (alpha - beta))``; ``|x_j|^2`` adds the
+    squared parts down the column in row order.  One
     ``zungqr`` of the whole stack multiplies the reflectors out, and column
     ``j`` is multiplied by ``sign(beta_j)`` in place.
 
-    ``work`` is a :class:`_DrawPlan` for the summed ``count``, whose views the
-    draw runs through and whose ``q`` it returns; or a four-row workspace,
-    or ``None`` for four allocated rows, on which a plan is built first.
+    The draw runs through the views of ``plan``, a :class:`_DrawPlan` for
+    the summed ``count``, and returns its ``q``; without one it allocates
+    four rows and plans them first.  Rows reach the draw only through a
+    plan: ``dist`` lays one out per thread and part size and reuses it for
+    every sub-stack of that size.
     """
-    if not isinstance(work, _DrawPlan):
+    if plan is None:
         count = sum(k for _, k in draws)
-        work = _DrawPlan(np.empty((4, count * n * n), dtype=complex) if work is None else work, count, n)
-    p, start = work, 0
+        plan = _DrawPlan(np.empty((4, count * n * n), dtype=complex), count, n)
+    p, start = plan, 0
     for rng, k in draws:
         rng.standard_normal(out=p.g[start:start + k])
         start += k

@@ -23,8 +23,7 @@ lockstep, in groups of ``substack_size(d1 d2)`` (:mod:`entpow.power`) taken
 in restart order, so a group's window stack holds at most ``3 * 16384``
 entries; from ``d1 d2 = 91`` on, a group is one restart.  A group's starts
 are Haar unitaries drawn in one stacked call, by Stewart's Householder recipe
-(:mod:`entpow.sampling`), so one ``zungqr`` per group; every ``optimize``
-output changed once when that recipe replaced Mezzadri's QR.  Each iteration
+(:mod:`entpow.sampling`), so one ``zungqr`` per group.  Each iteration
 takes one batched ``eigh`` and one window evaluation for the group's running
 restarts, and a gradient is taken only at each start and each accepted step.
 Every operation acts on each restart's slice alone, so the result is that of

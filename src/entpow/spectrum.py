@@ -101,12 +101,11 @@ def _haar_values(part: Bipartition, n_samples: int, seed: SeedSpec) -> np.ndarra
     once per call, before it takes a block: a :class:`_DrawPlan` lays out
     every view, slot and index array of the draw in the four rows, and an
     :class:`_EvalPlan` on the draw's output ``q``, in the fourth row, lays
-    out the evaluation's in the first three, with its trace constants.  A
-    sub-stack is then one :func:`_haar_unitary_from` call with the block's
-    one ``(generator, count)`` pair and its size's draw plan, which draws
-    each gate by Stewart's Householder recipe (:mod:`entpow.sampling`; it
-    replaced Mezzadri's QR, and every ``dist`` output changed once with it)
-    in one ``zungqr``; and one :func:`ep_values` call with the evaluation
+    out the evaluation's in the first three.  A sub-stack is then one
+    :func:`_haar_unitary_from` call with the block's one ``(generator,
+    count)`` pair and its size's draw plan, which draws each gate by
+    Stewart's Householder recipe (:mod:`entpow.sampling`) in one
+    ``zungqr``; and one :func:`ep_values` call with the evaluation
     plan, which writes the conjugates into the first row, ``A0`` and then
     ``A1`` into the second, and ``T0`` and then ``T1`` into the third.  So
     every sub-stack of a size runs the same numpy calls on the same views.

@@ -28,7 +28,7 @@ TIMEOUT = 600
 
 #: module -> the test files run against its mutations
 TESTS = {
-    "power": ["test_power.py", "test_properties.py", "test_saturation.py"],
+    "power": ["test_power.py", "test_properties.py", "test_saturation.py", "test_designs.py"],
     "sampling": ["test_sampling.py"],
     "search": ["test_search.py"],
     "spectrum": ["test_spectrum.py"],
@@ -66,13 +66,24 @@ MUTATIONS = [
     ("power", "Monte Carlo accepts one sample",
      "if n_samples < 2:", "if n_samples < 1:"),
     ("power", "trace constants take the row factor: n d1 for I0 and n d2 for I1",
-     "(part.d2, part.d1)):", "(part.d1, part.d2)):"),
+     "(part.d2, part.d1)))", "(part.d1, part.d2)))"),
     ("power", "A0 on the larger side: its Gram has max(d1, d2)^4 entries",
      "_REARRANGEMENTS[part.d1 <= part.d2]", "_REARRANGEMENTS[part.d1 > part.d2]"),
     ("power", "gradient undoes the rearrangements by their forward axes",
      ".transpose(undo)", ".transpose(axes)"),
-    ("power", "the evaluation plan swaps the trace constants: n d1 for I0 and n d2 for I1",
-     "(part.dim * part.d2, part.dim * part.d1)", "(part.dim * part.d1, part.dim * part.d2)"),
+    ("power", "the planned path passes I0 twice to the closed form",
+     "return _closed_form(*traces, part)", "return _closed_form(traces[0], traces[0], part)"),
+    ("power", "A's written-out column count takes the wrong factor",
+     "a = r.reshape(len(u), r.shape[1] * r.shape[2], r.shape[3] * r.shape[4])",
+     "a = r.reshape(len(u), r.shape[1] * r.shape[2], r.shape[2] * r.shape[4])"),
+    ("power", "the Gram's flat size inferred, which an empty stack leaves ambiguous",
+     "t.reshape(len(t), t.shape[1] * t.shape[2])", "t.reshape(len(t), -1)"),
+    ("power", "product states built with the factors in the wrong order",
+     "np.einsum(\"ni,nj->nij\", p1, p2)", "np.einsum(\"ni,nj->nji\", p1, p2)"),
+    ("power", "product states sent through U^T instead of U",
+     "prod @ matrix.T", "prod @ matrix"),
+    ("power", "purity taken from the larger reduction's Gram",
+     "m = m.transpose(0, 2, 1)", "m = m"),
     ("power", "ep_on_states accepts an empty list",
      "    if not states:\n", "    if False:\n"),
     ("sampling", "Haar sign fix multiplies rows",

@@ -89,6 +89,15 @@ class TestLinearEntropy:
         with pytest.raises(DimensionError):
             linear_entropy(psi[:4], part)
 
+    @pytest.mark.parametrize("d1, d2", [(3, 2), (4, 2), (5, 3), (6, 1)])
+    def test_swapping_the_factors_keeps_every_bit(self, d1, d2):
+        # both orders take the purity from the smaller reduction's Gram, the same matrix product;
+        # the larger reduction's Gram has the same purity but rounds it differently
+        for i in range(20):
+            psi = haar_unitary(d1 * d2, SeedSpec(33, i))[:, 0]
+            swapped = psi.reshape(d1, d2).T.ravel()
+            assert linear_entropy(psi, Bipartition(d1, d2)) == linear_entropy(swapped, Bipartition(d2, d1))
+
     def test_range(self):
         seed = SeedSpec(31)
         part = Bipartition(2, 5)
@@ -183,10 +192,18 @@ class TestStackedKernel:
         for k in range(3):
             stack = np.stack([haar_unitary(n, SeedSpec(44 + k, j)) for j in range(count)])
             expected = ep_values(stack, part)
-            assert np.array_equal(ep_values(stack, part, work), expected)
+            assert np.array_equal(ep_values(stack, part, _EvalPlan(stack, part, work)), expected)
             work.fill(complex(np.nan, np.nan))
             held[...] = stack
             assert np.array_equal(ep_values(held, part, plan), expected)
+
+    @pytest.mark.parametrize("part", [P22, Bipartition(2, 3), Bipartition(4, 2), Bipartition(1, 3)], ids=str)
+    def test_empty_stack_gives_no_values(self, part):
+        stack = np.empty((0, part.dim, part.dim), dtype=complex)
+        for plan in (None, _EvalPlan(stack, part, np.empty((3, 0), dtype=complex))):
+            values = ep_values(stack, part, plan)
+            assert values.shape == (0,) and values.dtype == np.float64
+        assert _gradients(*_i0_i1(stack, part)[2], part).shape == stack.shape
 
     @pytest.mark.parametrize("part", PARTS + [Bipartition(1, 3), Bipartition(3, 1)], ids=str)
     def test_single_gate_is_the_stack_of_one(self, part):

@@ -169,7 +169,7 @@ class TestStackedHaarDraw:
         # has reused it, would show
         count, room = 5, 7
         work = np.full((4, room * n * n), complex(np.nan, np.nan))
-        drawn = _haar_unitary_from([(SeedSpec(65, n).generator(), count)], n, work)
+        drawn = _haar_unitary_from([(SeedSpec(65, n).generator(), count)], n, _DrawPlan(work, count, n))
         assert_array_equal(drawn, _haar_unitary_from([(SeedSpec(65, n).generator(), count)], n))
         # one plan serves a stream's successive sub-stacks, as in dist, each drawn in rows
         # filled with NaN again
