@@ -144,8 +144,8 @@ def _rearrangements(part: Bipartition) -> tuple:
     written: :func:`_i0_i1`, :class:`_EvalPlan` and :func:`_gradients` read
     them from here.
     """
-    return tuple((axes, undo, part.dim * factor)
-                 for (axes, undo), factor in zip(_REARRANGEMENTS[part.d1 <= part.d2], (part.d2, part.d1)))
+    (a0, undo0), (a1, undo1) = _REARRANGEMENTS[part.d1 <= part.d2]
+    return (a0, undo0, part.dim * part.d2), (a1, undo1, part.dim * part.d1)
 
 
 def _gate_shape(n, part: Bipartition) -> tuple:

@@ -66,7 +66,8 @@ MUTATIONS = [
     ("power", "Monte Carlo accepts one sample",
      "if n_samples < 2:", "if n_samples < 1:"),
     ("power", "trace constants take the row factor: n d1 for I0 and n d2 for I1",
-     "(part.d2, part.d1)))", "(part.d1, part.d2)))"),
+     "(a0, undo0, part.dim * part.d2), (a1, undo1, part.dim * part.d1)",
+     "(a0, undo0, part.dim * part.d1), (a1, undo1, part.dim * part.d2)"),
     ("power", "A0 on the larger side: its Gram has max(d1, d2)^4 entries",
      "_REARRANGEMENTS[part.d1 <= part.d2]", "_REARRANGEMENTS[part.d1 > part.d2]"),
     ("power", "gradient undoes the rearrangements by their forward axes",
