@@ -20,6 +20,9 @@ TOL = 1e-12
 
 SHAPES = [(d1, d2) for d1 in range(1, 7) for d2 in range(1, 7)]
 
+#: shapes for the partial_ep equalities, at d1 = d2 and on both sides of it
+PARTIAL_SHAPES = [(2, 2), (2, 3), (3, 2), (3, 3), (1, 3), (4, 2)]
+
 
 def named_gates():
     """``pytest.param``s of the named gates, each with its name as id."""
@@ -55,7 +58,7 @@ def test_design_average_is_the_closed_form_on_named_gates(gate):
     assert abs(design_ep(gate) - ep_closed(gate).value) <= TOL
 
 
-@pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 2), (3, 3), (1, 3), (4, 2)])
+@pytest.mark.parametrize("d1, d2", PARTIAL_SHAPES)
 def test_first_factor_design_average_is_partial_ep(d1, d2):
     gate = haar_gate(Bipartition(d1, d2), SeedSpec(78, 6 * d1 + d2))
     for k in range(3):
@@ -63,7 +66,7 @@ def test_first_factor_design_average_is_partial_ep(d1, d2):
         assert abs(first_factor_ep(gate, psi2) - partial_ep(kraus_from_unitary(gate, psi2))) <= TOL
 
 
-@pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 2), (3, 3), (1, 3), (4, 2)])
+@pytest.mark.parametrize("d1, d2", PARTIAL_SHAPES)
 def test_design_average_of_partial_ep_over_the_fixed_state_is_e(d1, d2):
     gate = haar_gate(Bipartition(d1, d2), SeedSpec(80, 6 * d1 + d2))
     average = sum(w * np.mean([partial_ep(kraus_from_unitary(gate, s)) for s in states])
