@@ -141,8 +141,7 @@ def _rearrangements(part: Bipartition) -> tuple:
     rearranges the stack, ``undo`` (its argsort) puts it back, and
     ``constant`` is the trace constant, ``n d2`` for ``I0`` and ``n d1`` for
     ``I1`` with ``n = d1 d2``.  This is the one place the constants are
-    written: :func:`_i0_i1`, :class:`_EvalPlan` and :func:`_gradients` read
-    them from here.
+    written: :class:`_EvalPlan` and :func:`_gradients` read them from here.
     """
     (a0, undo0), (a1, undo1) = _REARRANGEMENTS[part.d1 <= part.d2]
     return (a0, undo0, part.dim * part.d2), (a1, undo1, part.dim * part.d1)
@@ -151,33 +150,6 @@ def _rearrangements(part: Bipartition) -> tuple:
 def _gate_shape(n, part: Bipartition) -> tuple:
     """Shape of ``n`` gates with each row and column index split into its ``(d1, d2)`` pair."""
     return n, part.d1, part.d2, part.d1, part.d2
-
-
-def _i0_i1(stack: np.ndarray, part: Bipartition) -> tuple:
-    """The two exchange-operator traces of a stack of gates, and the stacks behind them.
-
-    Each gate ``u``, its row and its column index each split into a ``(d1,
-    d2)`` pair, is rearranged into ``A0`` and ``A1`` (:func:`_rearrangements`),
-    so that contracting two copies of ``u`` against two conjugated copies
-    becomes one matrix product per trace, at cost O((d1 d2)^3) per gate.  Its
-    Gram ``T = A A^dag`` has at most ``n^2`` entries, ``n = d1 d2``: ``T0`` is
-    the ``a^2 x a^2`` Gram of ``A0`` on the smaller side, ``a = min(d1, d2)``,
-    and ``T1`` is ``n x n``.  Then ``I0 = n d2 + ||T0||^2`` and ``I1 = n d1 +
-    ||T1||^2``, with the constants of :func:`_rearrangements`; the third
-    value is ``(A0, T0, A1, T1)``, from which :func:`_gradients` reads the
-    gradient.  :func:`_closed_form` forms the value from the two traces.
-    This body allocates its arrays, which is cheapest for a stack evaluated
-    once; :class:`_EvalPlan` lays the same steps out in reused rows.
-    """
-    u = stack.reshape(_gate_shape(-1, part))
-    traces, stacks = [], []
-    for axes, _, constant in _rearrangements(part):
-        r = u.transpose(axes)
-        a = r.reshape(len(u), r.shape[1] * r.shape[2], r.shape[3] * r.shape[4])
-        t = _gram(a)
-        stacks += [a, t]
-        traces.append(constant + _frobenius2(t))
-    return traces[0], traces[1], tuple(stacks)
 
 
 def _frobenius2(t: np.ndarray) -> np.ndarray:
@@ -191,29 +163,58 @@ def _closed_form(i0, i1, part: Bipartition):
 
 
 class _EvalPlan:
-    """The views of :func:`_i0_i1`'s traces of one stack, laid out once in three workspace rows.
+    """The closed form's two exchange-operator traces of one stack, laid out once in five rows.
 
-    ``work`` is a complex array of three rows of at least ``N n^2`` entries
-    each, for the conjugate of ``A``, for ``A`` and for ``T``.  For each
-    rearrangement of :func:`_rearrangements` the plan holds its trace
-    constant, its view of ``stack``, its slots in the rows, the conjugate's
-    transpose and the Gram's flat view.  A plan serves any number of
-    evaluations of whatever ``stack`` holds at the time; :func:`ep_values`
-    runs them.
+    Each gate ``u``, its row and its column index each split into a ``(d1,
+    d2)`` pair, is rearranged into ``A0`` and ``A1`` (:func:`_rearrangements`),
+    so that contracting two copies of ``u`` against two conjugated copies
+    becomes one matrix product per trace, at cost O((d1 d2)^3) per gate.  Its
+    Gram ``T = A A^dag`` has at most ``n^2`` entries, ``n = d1 d2``: ``T0`` is
+    the ``a^2 x a^2`` Gram of ``A0`` on the smaller side, ``a = min(d1, d2)``,
+    and ``T1`` is ``n x n``.  Then ``I0 = n d2 + ||T0||^2`` and ``I1 = n d1 +
+    ||T1||^2``, with the constants of :func:`_rearrangements`.
+
+    ``work`` is five rows of at least ``N n^2`` entries each, for the
+    conjugate of ``A``, for ``A0``, ``T0``, ``A1`` and ``T1``; without it the
+    plan allocates them, of the stack's dtype, so real stacks stay real.  A
+    caller that needs only the traces passes ``A0``'s and ``T0``'s rows again
+    for ``A1`` and ``T1``, as views.  For each rearrangement the plan holds its
+    trace constant, its view of ``stack``, its slots in the rows, the
+    conjugate's transpose and the Gram's flat view; ``grams`` holds the views
+    ``(A0, T0, A1, T1)`` that :func:`_gradients` reads once :meth:`traces`
+    has filled them.  A plan serves any number of evaluations of whatever
+    ``stack`` holds at the time.
     """
 
-    def __init__(self, stack: np.ndarray, part: Bipartition, work: np.ndarray):
+    def __init__(self, stack: np.ndarray, part: Bipartition, work=None):
         u = stack.reshape(_gate_shape(-1, part))
         n = u.shape[0]
-        conj, rearranged, gram = work
-        self.steps = []
-        for axes, _, constant in _rearrangements(part):
+        conj, a0, t0, a1, t1 = np.empty((5, u.size), dtype=u.dtype) if work is None else work
+        self.steps, self.grams = [], ()
+        for (axes, _, constant), rearranged, gram in zip(_rearrangements(part), (a0, a1), (t0, t1)):
             r = u.transpose(axes)
             rows = r.shape[1] * r.shape[2]
             slot = _leading(rearranged, r.shape)
             a, t = slot.reshape(n, rows, r.shape[3] * r.shape[4]), _leading(gram, (n, rows, rows))
             c = _leading(conj, a.shape)
-            self.steps.append((constant, r, slot, a, c, c.transpose(0, 2, 1), t, t.reshape(n, rows * rows)))
+            self.steps.append((constant, (r, slot, a, c, c.transpose(0, 2, 1), t, t.reshape(n, rows * rows))))
+            self.grams += a, t
+
+    def traces(self, count: int | None = None) -> list:
+        """``[I0, I1]`` of the whole stack, or of its first ``count`` gates.
+
+        The one place a closed-form Gram is formed: each rearrangement and
+        its Gram are written into the plan's slots and reduced to the trace
+        before the next starts.
+        """
+        traces = []
+        for constant, views in self.steps:
+            r, slot, a, c, c_t, t, flat = views if count is None else (v[:count] for v in views)
+            np.copyto(slot, r)
+            np.conjugate(a, out=c)
+            np.matmul(a, c_t, out=t)
+            traces.append(constant + np.vecdot(flat, flat).real)
+        return traces
 
 
 def ep_values(stack: np.ndarray, part: Bipartition, plan: _EvalPlan | None = None) -> np.ndarray:
@@ -221,30 +222,17 @@ def ep_values(stack: np.ndarray, part: Bipartition, plan: _EvalPlan | None = Non
 
     The one closed-form kernel: :func:`ep_value` and :func:`ep_closed` are its
     ``N = 1`` case (a single ``(n, n)`` matrix counts as a stack of one), and
-    sampling loops call it on whole stacks of gates.  The trace constants
-    come from :func:`_rearrangements` and the value from :func:`_closed_form`
-    on either of two bodies, which give the same values bit for bit:
-
-    - without ``plan``, :func:`_i0_i1`, which allocates its arrays: cheapest
-      for a stack evaluated once, and it returns the Grams that the ascent of
-      :mod:`entpow.search` reuses for its gradients;
-    - with an :class:`_EvalPlan` built on ``stack``, the plan's loop, which
-      writes each rearrangement and its Gram into the plan's slots and reduces
-      them to the trace before the next starts: ``dist`` evaluates each of its
-      repeated sub-stacks through one plan per thread and part size, in one
-      call per sub-stack through ``entpow.spectrum``'s binding of this
-      function, which the tests patch to watch or fail the sub-stacks.
+    sampling loops call it on whole stacks of gates.  It forms the value by
+    :func:`_closed_form` from the traces of :meth:`_EvalPlan.traces`, through
+    ``plan``, an :class:`_EvalPlan` built on ``stack``, or without it through
+    a plan on fresh rows.  ``dist`` evaluates each of its repeated sub-stacks
+    through one plan per thread and part size, in one call per sub-stack
+    through ``entpow.spectrum``'s binding of this function, which the tests
+    patch to watch or fail the sub-stacks.
     """
     if plan is None:
-        i0, i1, _ = _i0_i1(stack, part)
-        return _closed_form(i0, i1, part)
-    traces = []
-    for constant, r, slot, a, c, c_t, t, flat in plan.steps:
-        np.copyto(slot, r)
-        np.conjugate(a, out=c)
-        np.matmul(a, c_t, out=t)
-        traces.append(constant + np.vecdot(flat, flat).real)
-    return _closed_form(*traces, part)
+        plan = _EvalPlan(stack, part)
+    return _closed_form(*plan.traces(), part)
 
 
 #: matrix entries per sub-stack of matrices (see :func:`substack_size`); caps
@@ -277,9 +265,12 @@ def ep_value(matrix: np.ndarray, part: Bipartition) -> float:
 
 def _gradients(a0: np.ndarray, t0: np.ndarray, a1: np.ndarray, t1: np.ndarray,
                part: Bipartition) -> np.ndarray:
-    """Euclidean gradients of the closed form at a stack of unitaries, from :func:`_i0_i1`'s stacks.
+    """Euclidean gradients of the closed form at a stack of unitaries, from ``(A0, T0, A1, T1)``.
 
-    The closed form is quartic in ``U``.  With ``T = A A^dag`` for each
+    The four stacks are an :class:`_EvalPlan`'s ``grams`` once its
+    :meth:`~_EvalPlan.traces` has filled them (or their rows at the gates
+    wanted), so a gradient forms no Gram of its own; its plan must have
+    rows of its own for ``A1`` and ``T1``.  The closed form is quartic in ``U``.  With ``T = A A^dag`` for each
     rearrangement ``A``, ``d||T||^2 = 4 Re tr((T A)^dag dA)``, so in the
     convention ``de = Re tr(G^dag dU)`` the gradient is
     ``G = -4 C_{d1} C_{d2} (R0^-1(T0 A0) + R1^-1(T1 A1))``, where ``R^-1``
@@ -305,9 +296,14 @@ def _report(value: float, i0: float, i1: float, part: Bipartition, method: str,
 
 
 def ep_closed(gate: UnitaryGate) -> EntanglingPowerReport:
-    """Entangling power via the closed form ``1 - C_{d1} C_{d2} (I_0 + I_1)``."""
+    """Entangling power via the closed form ``1 - C_{d1} C_{d2} (I_0 + I_1)``.
+
+    The ``N = 1`` case of :func:`ep_values`, bit for bit, through a one-shot
+    :class:`_EvalPlan` on fresh rows, whose traces the report keeps as
+    ``i0`` and ``i1``.
+    """
     part = gate.part
-    i0, i1 = (float(t[0]) for t in _i0_i1(gate.matrix, part)[:2])
+    i0, i1 = (float(t[0]) for t in _EvalPlan(gate.matrix, part).traces())
     return _report(_closed_form(i0, i1, part), i0, i1, part, "closed_form")
 
 

@@ -23,9 +23,12 @@ lockstep, in groups of ``substack_size(d1 d2)`` (:mod:`entpow.power`) taken
 in restart order, so a group's window stack holds at most ``3 * 16384``
 entries; from ``d1 d2 = 91`` on, a group is one restart.  A group's starts
 are Haar unitaries drawn in one stacked call, by Stewart's Householder recipe
-(:mod:`entpow.sampling`), so one ``zungqr`` per group.  Each iteration
-takes one batched ``eigh`` and one window evaluation for the group's running
-restarts, and a gradient is taken only at each start and each accepted step.
+(:mod:`entpow.sampling`), so one ``zungqr`` per group.  A group allocates
+its window buffer and the five rows of its closed-form Grams once, and plans
+them once (:class:`entpow.power._EvalPlan`).  Each iteration takes one
+batched ``eigh``, writes the running restarts' windows into the buffer and
+evaluates them there, and a gradient is taken only at each start and each
+accepted step, from the Grams the evaluation left in the rows.
 Every operation acts on each restart's slice alone, so the result is that of
 running the restarts one after another, bit for bit: it depends neither on the
 grouping nor, since both searches run on the calling thread alone, on the
@@ -44,7 +47,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
 # ep_value is unused here but stays bound: bench/spans.py traces entpow.search.ep_value
-from .power import (UnitaryGate, _closed_form, _gradients, _i0_i1, ep_value,  # noqa: F401
+from .power import (UnitaryGate, _closed_form, _EvalPlan, _gradients, ep_value,  # noqa: F401
                     ep_values, substack_size, upper_bound)
 from .sampling import SeedSpec, _haar_unitary_from
 from .tensorops import Bipartition, permutation_matrix
@@ -81,12 +84,23 @@ def _lockstep_ascent(part: Bipartition, starts: np.ndarray, max_iters: int):
     count.  A trace starts with ``(0, value of the start)`` and holds
     ``(iteration, value)`` for every accepted step, so its last entry is the
     final matrix's value; the count is the start plus the windows evaluated.
+
+    The group works in one ``(k, 3, n, n)`` window buffer and one
+    :class:`_EvalPlan` on it, with five rows of its own.  The starts are
+    copied into the buffer's first ``k`` matrices and evaluated there; then
+    each iteration writes the running restarts' windows into the buffer's
+    leading entries and evaluates only those.  The gradients of the starts
+    and of the accepted steps are read from the Grams the plan left in its
+    rows (``_EvalPlan.grams``), so no Gram is formed twice.
     """
     k, n = len(starts), part.dim
-    i0, i1, grams = _i0_i1(starts, part)
-    values = _closed_form(i0, i1, part)
+    windows = np.empty((k, len(_WINDOW), n, n), dtype=complex)
+    candidates = windows.reshape(-1, n, n)
+    plan = _EvalPlan(candidates, part)
+    candidates[:k] = starts
+    values = _closed_form(*plan.traces(k), part)
     traces = [[(0, v)] for v in values.tolist()]
-    matrices, gradients = starts.copy(), _gradients(*grams, part)
+    matrices, gradients = starts.copy(), _gradients(*(g[:k] for g in plan.grams), part)
     iterations = np.zeros(k, dtype=int)
     running, centre = np.arange(k), np.zeros(k, dtype=int)
     for steps in range(1, max_iters + 1):
@@ -98,18 +112,15 @@ def _lockstep_ascent(part: Bipartition, starts: np.ndarray, max_iters: int):
         exponents = centre[:, None] + _WINDOW
         phases = np.exp(1j * ((2.0 ** exponents)[:, :, None] * w[:, None, :]))
         rotations = v[:, None] * phases[:, :, None, :]
-        candidates = (rotations @ (v.conj().transpose(0, 2, 1) @ u)[:, None]).reshape(-1, n, n)
-        # rebinding frees the last window only once this one is formed, so the allocator
-        # reuses its memory rather than returning it and faulting it back every iteration
-        i0, i1, window = _i0_i1(candidates, part)
-        window_values = _closed_form(i0, i1, part).reshape(len(running), len(_WINDOW))
+        np.matmul(rotations, (v.conj().transpose(0, 2, 1) @ u)[:, None], out=windows[:len(running)])
+        window_values = _closed_form(*plan.traces(exponents.size), part).reshape(exponents.shape)
         picked = np.arange(len(running)) * len(_WINDOW) + window_values.argmax(axis=1)
         top = window_values.ravel()[picked]
         gain = top - values
         accepted = gain > 0     # no step improves (a NaN counts as none)
         won, source = running[accepted], picked[accepted]
         matrices[won] = candidates[source]
-        gradients[won] = _gradients(*(g[source] for g in window), part)
+        gradients[won] = _gradients(*(g[source] for g in plan.grams), part)
         for r, value in zip(won.tolist(), top[accepted].tolist()):
             traces[r].append((steps, value))
         iterations[running] = steps + 1

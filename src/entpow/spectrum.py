@@ -107,7 +107,9 @@ def _haar_values(part: Bipartition, n_samples: int, seed: SeedSpec) -> np.ndarra
     Stewart's Householder recipe (:mod:`entpow.sampling`) in one
     ``zungqr``; and one :func:`ep_values` call with the evaluation
     plan, which writes the conjugates into the first row, ``A0`` and then
-    ``A1`` into the second, and ``T0`` and then ``T1`` into the third.  So
+    ``A1`` into the second, and ``T0`` and then ``T1`` into the third: the
+    plan is handed rows 0, 1, 2, 1, 2 as its five, views of three rows,
+    because ``dist`` needs only the traces and not the Grams.  So
     every sub-stack of a size runs the same numpy calls on the same views.
     Every Gram fits a row because ``T0`` is taken on the smaller side
     (:mod:`entpow.power`).  A sub-stack allocates only its values and
@@ -131,7 +133,7 @@ def _haar_values(part: Bipartition, n_samples: int, seed: SeedSpec) -> np.ndarra
             plans = {}
             for k in part_sizes:
                 draw = _DrawPlan(workspace, k, n)
-                plans[k] = draw, _EvalPlan(draw.q, part, workspace[:3])
+                plans[k] = draw, _EvalPlan(draw.q, part, [workspace[i] for i in (0, 1, 2, 1, 2)])
             for b in claims:
                 if b >= len(sizes) or failures:
                     return

@@ -12,6 +12,11 @@ The closed form's group-theoretic step uses the product-state distribution
 only through each factor's second moment ``E[|psi><psi|^(x)2]``, so the product of
 two such designs gives ``e(U)`` as a finite weighted sum, and so does a
 design over one factor for :func:`entpow.partial_ep`.
+
+A complete set of ``d + 1`` mutually unbiased bases is a 2-design with equal
+weights (Klappenecker & Rötteler, 2005), so over the products of two such
+sets ``e(U)`` is a plain average.  Complete sets are written out here at
+``d = 2`` and at odd prime ``d`` (Wootters & Fields, 1989).
 """
 
 import itertools
@@ -37,3 +42,24 @@ def design_ep(gate) -> float:
 def first_factor_ep(gate, psi2: np.ndarray) -> float:
     """The design average over the first factor of the output entropy, with ``psi2`` held fixed."""
     return sum(w * ep_on_states(gate, [(s, psi2) for s in states]) for w, states in two_design(gate.d1))
+
+
+def mutually_unbiased_states(d: int) -> np.ndarray:
+    """The states of ``d + 1`` mutually unbiased bases, ``d = 2`` or an odd prime, as ``(d (d + 1), d)`` rows.
+
+    At ``d = 2``: the computational basis and the eigenbases of X and Y.  At odd
+    prime ``d``: the computational basis and, for each ``k = 0..d-1``, the basis
+    of the vectors ``(w^(k j^2 + m j) / sqrt d)_j``, ``m = 0..d-1``, ``w = exp(2 pi i / d)``.
+    Rows ``b d`` to ``b d + d - 1`` are basis ``b``.
+    """
+    if d == 2:
+        return np.vstack([np.eye(2), np.array([[1, 1], [1, -1], [1, 1j], [1, -1j]]) / np.sqrt(2)])
+    j = np.arange(d)
+    powers = (j[:, None, None] * j ** 2 + j[None, :, None] * j) % d    # [k, m, j], exact
+    return np.vstack([np.eye(d), np.exp(2j * np.pi / d * powers).reshape(d * d, d) / np.sqrt(d)])
+
+
+def mub_ep(gate) -> float:
+    """``e(U)`` as one plain :func:`entpow.ep_on_states` call over every product of the two factors' MUB states."""
+    return ep_on_states(gate, itertools.product(mutually_unbiased_states(gate.d1),
+                                                mutually_unbiased_states(gate.d2)))

@@ -72,13 +72,14 @@ MUTATIONS = [
      "_REARRANGEMENTS[part.d1 <= part.d2]", "_REARRANGEMENTS[part.d1 > part.d2]"),
     ("power", "gradient undoes the rearrangements by their forward axes",
      ".transpose(undo)", ".transpose(axes)"),
-    ("power", "the planned path passes I0 twice to the closed form",
-     "return _closed_form(*traces, part)", "return _closed_form(traces[0], traces[0], part)"),
+    ("power", "ep_values passes I0 twice to the closed form",
+     "return _closed_form(*plan.traces(), part)", "return _closed_form(*plan.traces()[:1] * 2, part)"),
     ("power", "A's written-out column count takes the wrong factor",
-     "a = r.reshape(len(u), r.shape[1] * r.shape[2], r.shape[3] * r.shape[4])",
-     "a = r.reshape(len(u), r.shape[1] * r.shape[2], r.shape[2] * r.shape[4])"),
+     "slot.reshape(n, rows, r.shape[3] * r.shape[4])", "slot.reshape(n, rows, r.shape[2] * r.shape[4])"),
     ("power", "the Gram's flat size inferred, which an empty stack leaves ambiguous",
-     "t.reshape(len(t), t.shape[1] * t.shape[2])", "t.reshape(len(t), -1)"),
+     "t.reshape(n, rows * rows)", "t.reshape(n, -1)"),
+    ("power", "the plan ignores count and evaluates its whole stack",
+     "views if count is None else (v[:count] for v in views)", "views"),
     ("power", "product states built with the factors in the wrong order",
      "np.einsum(\"ni,nj->nij\", p1, p2)", "np.einsum(\"ni,nj->nji\", p1, p2)"),
     ("power", "product states sent through U^T instead of U",
@@ -143,6 +144,10 @@ MUTATIONS = [
      "if restarts < 1 or max_iters < 1:", "if restarts < 1:"),
     ("search", "no stop at an exactly zero Omega",
      "omega.any(axis=(1, 2))", "True"),
+    ("search", "the ascent passes A0's and T0's rows again for A1 and T1, so its gradients read T1 for T0",
+     "plan = _EvalPlan(candidates, part)",
+     "plan = _EvalPlan(candidates, part, (lambda w: [w[i] for i in (0, 1, 2, 1, 2)])("
+     "np.empty((3, candidates.size), dtype=complex)))"),
     ("spectrum", "dist values not clipped",
      "np.histogram(np.clip(values, 0.0, hi), bins=edges)", "np.histogram(values, bins=edges)"),
     ("spectrum", "one bin accepted",
@@ -158,7 +163,7 @@ MUTATIONS = [
      "for k in _equal_parts(sizes[b], parts) if k]",
      "for k in _equal_parts(sizes[b], -(-sizes[b] // substack_size(n))) if k]"),
     ("spectrum", "evaluation's rows shifted, so the Grams overwrite the gates' row",
-     "workspace[:3])", "workspace[1:])"),
+     "for i in (0, 1, 2, 1, 2)]", "for i in (1, 2, 3, 2, 3)]"),
     ("spectrum", "the larger part's plans reused for the smaller part",
      "plans[k][0]), part, plans[k][1])", "plans[max(plans)][0]), part, plans[max(plans)][1])"),
     ("spectrum", "evaluation plan built on the matrices' row, not on the draw's output",

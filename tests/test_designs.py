@@ -14,11 +14,15 @@ from entpow import (Bipartition, SeedSpec, ep_closed, haar_gate, haar_state, kra
                     make_additive_permutation, make_cnot, make_controlled_family, make_identity,
                     make_swap, partial_ep, shift_matrix)
 
-from designs import design_ep, first_factor_ep, two_design
+from designs import design_ep, first_factor_ep, mub_ep, mutually_unbiased_states, two_design
 
 TOL = 1e-12
 
 SHAPES = [(d1, d2) for d1 in range(1, 7) for d2 in range(1, 7)]
+
+#: dimensions with a complete set of mutually unbiased bases in designs.py, and their shapes
+MUB_DIMS = (2, 3, 5)
+MUB_SHAPES = [(d1, d2) for d1 in MUB_DIMS for d2 in MUB_DIMS]
 
 #: shapes for the partial_ep equalities, at d1 = d2 and on both sides of it
 PARTIAL_SHAPES = [(2, 2), (2, 3), (3, 2), (3, 3), (1, 3), (4, 2)]
@@ -72,3 +76,24 @@ def test_design_average_of_partial_ep_over_the_fixed_state_is_e(d1, d2):
     average = sum(w * np.mean([partial_ep(kraus_from_unitary(gate, s)) for s in states])
                   for w, states in two_design(d2))
     assert abs(average - ep_closed(gate).value) <= TOL
+
+
+@pytest.mark.parametrize("d", MUB_DIMS)
+def test_the_bases_are_mutually_unbiased(d):
+    # |<x|y>|^2 is 1 or 0 within a basis and 1/d across two
+    states = mutually_unbiased_states(d)
+    overlaps = np.abs(states.conj() @ states.T) ** 2
+    assert states.shape == (d * (d + 1), d)
+    assert np.abs(overlaps - (np.kron(np.eye(d + 1), np.eye(d) - 1 / d) + 1 / d)).max() <= TOL
+
+
+@pytest.mark.parametrize("d1, d2", MUB_SHAPES)
+def test_mub_average_is_the_closed_form_on_haar_gates(d1, d2):
+    for k in range(3):
+        gate = haar_gate(Bipartition(d1, d2), SeedSpec(81 + k, 6 * d1 + d2))
+        assert abs(mub_ep(gate) - ep_closed(gate).value) <= TOL
+
+
+@pytest.mark.parametrize("gate", [g for g in named_gates() if (g.values[0].d1, g.values[0].d2) in MUB_SHAPES])
+def test_mub_average_is_the_closed_form_on_named_gates(gate):
+    assert abs(mub_ep(gate) - ep_closed(gate).value) <= TOL

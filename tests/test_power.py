@@ -4,7 +4,7 @@ import pytest
 import entpow.power
 from numpy.testing import assert_allclose
 
-from entpow.power import _EvalPlan, _gradients, _i0_i1
+from entpow.power import _EvalPlan, _gradients
 from entpow.sampling import product_state_block
 
 from entpow import (Bipartition, DimensionError, ResourceLimitError, SeedSpec, UnitaryGate,
@@ -154,6 +154,13 @@ def tensordot_i0_i1(m, part):
 SMALL_PARTS = [Bipartition(d1, d2) for d1 in range(1, 5) for d2 in range(1, 5)]
 
 
+def gradients(stack, part):
+    """:func:`_gradients` at a stack of gates, from the Grams of a one-shot plan."""
+    plan = _EvalPlan(stack, part)
+    plan.traces()
+    return _gradients(*plan.grams, part)
+
+
 class TestStackedKernel:
     @pytest.mark.parametrize("part", SMALL_PARTS, ids=str)
     def test_matches_tensordot_reference_bit_for_bit(self, part):
@@ -183,27 +190,49 @@ class TestStackedKernel:
 
     @pytest.mark.parametrize("part", SMALL_PARTS, ids=str)
     def test_workspace_equals_the_allocating_path(self, part):
-        # rows longer than the stack and NaN-filled, so a slot read before it is written shows;
-        # one plan serves every stack later copied into the array it was built on
+        # rows longer than the stack and NaN-filled before each use, so a slot read before it
+        # is written shows; each plan serves every stack later copied into the array it was
+        # built on: one on five rows, one on three rows passed as five, as dist passes them
         count, n = 6, part.dim
-        work = np.full((3, 9 * n * n), complex(np.nan, np.nan))
+        five = np.empty((5, 9 * n * n), dtype=complex)
+        three = np.empty((3, 9 * n * n), dtype=complex)
         held = np.empty((count, n, n), dtype=complex)
-        plan = _EvalPlan(held, part, work)
+        rows = [(five, five), (three, [three[i] for i in (0, 1, 2, 1, 2)])]
+        plans = [_EvalPlan(held, part, work) for _, work in rows]
         for k in range(3):
             stack = np.stack([haar_unitary(n, SeedSpec(44 + k, j)) for j in range(count)])
             expected = ep_values(stack, part)
-            assert np.array_equal(ep_values(stack, part, _EvalPlan(stack, part, work)), expected)
-            work.fill(complex(np.nan, np.nan))
             held[...] = stack
-            assert np.array_equal(ep_values(held, part, plan), expected)
+            for (array, work), plan in zip(rows, plans):
+                array.fill(complex(np.nan, np.nan))
+                assert np.array_equal(ep_values(held, part, plan), expected)
+                array.fill(complex(np.nan, np.nan))
+                assert np.array_equal(ep_values(stack, part, _EvalPlan(stack, part, work)), expected)
+
+    @pytest.mark.parametrize("part", [P22, Bipartition(2, 3), Bipartition(4, 2), Bipartition(1, 3)], ids=str)
+    def test_first_count_gates_equal_a_plan_on_the_leading_stack(self, part):
+        # traces and Grams of a plan's first count gates are those of a one-shot plan on
+        # stack[:count], bit for bit, whatever the rows hold past them
+        n_gates, n = 7, part.dim
+        stack = np.stack([haar_unitary(n, SeedSpec(45, j)) for j in range(n_gates)])
+        work = np.full((5, n_gates * n * n), complex(np.nan, np.nan))
+        plan = _EvalPlan(stack, part, work)
+        for count in (0, 1, n_gates - 1, n_gates):
+            work.fill(complex(np.nan, np.nan))
+            leading = _EvalPlan(stack[:count], part)
+            expected = leading.traces()
+            got = plan.traces(count)
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+            assert all(g.shape == (count,) for g in got)
+            assert all(np.array_equal(g[:count], e) for g, e in zip(plan.grams, leading.grams))
 
     @pytest.mark.parametrize("part", [P22, Bipartition(2, 3), Bipartition(4, 2), Bipartition(1, 3)], ids=str)
     def test_empty_stack_gives_no_values(self, part):
         stack = np.empty((0, part.dim, part.dim), dtype=complex)
-        for plan in (None, _EvalPlan(stack, part, np.empty((3, 0), dtype=complex))):
+        for plan in (None, _EvalPlan(stack, part, np.empty((5, 0), dtype=complex))):
             values = ep_values(stack, part, plan)
             assert values.shape == (0,) and values.dtype == np.float64
-        assert _gradients(*_i0_i1(stack, part)[2], part).shape == stack.shape
+        assert gradients(stack, part).shape == stack.shape
 
     @pytest.mark.parametrize("part", PARTS + [Bipartition(1, 3), Bipartition(3, 1)], ids=str)
     def test_single_gate_is_the_stack_of_one(self, part):
@@ -229,7 +258,7 @@ class TestGradient:
         h = 1e-6
         for k in range(3):
             u = haar_unitary(part.dim, SeedSpec(44, k))
-            grad = _gradients(*_i0_i1(u, part)[2], part)[0]
+            grad = gradients(u, part)[0]
             for _ in range(4):
                 dz = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
                 dz /= np.linalg.norm(dz)
@@ -239,7 +268,7 @@ class TestGradient:
 
     def test_vanishes_on_the_tangent_space_at_the_cnot_optimum(self):
         u = make_cnot().matrix
-        grad = _gradients(*_i0_i1(u, P22)[2], P22)[0]
+        grad = gradients(u, P22)[0]
         omega = grad @ u.conj().T - u @ grad.conj().T
         assert np.abs(omega).max() <= 1e-14
 

@@ -10,7 +10,7 @@ from entpow import (Bipartition, ResourceLimitError, SeedSpec,
                     ValidationError, ep_closed, ep_value, exhaustive_permutation_max, haar_unitary,
                     make_additive_permutation, make_basis_permutation, make_cnot,
                     maximize_ep, upper_bound)
-from entpow.power import _gradients, _i0_i1, ep_values, substack_size
+from entpow.power import _EvalPlan, _gradients, ep_values, substack_size
 from entpow.sampling import _haar_unitary_from
 from entpow.search import ASCENT_TOLERANCE, MIN_STEP_EXPONENT
 from entpow.tensorops import permutation_matrix
@@ -145,7 +145,7 @@ class TestMaximizeEp:
         stacks = record_stacks(monkeypatch)
         maximize_ep(P22, seed, restarts=1, max_iters=5)
         u = before.best_gate.matrix
-        gu = _gradients(*_i0_i1(u, P22)[2], P22)[0] @ u.conj().T
+        gu = gradient(u, P22) @ u.conj().T
         w, v = np.linalg.eigh(-1j * (gu - gu.conj().T))
         for window, exponents in [(stacks[4], (4, 3, 2)), (stacks[5], (1, 0, -1))]:
             # exp(2^e Omega) u, one step at a time
@@ -159,16 +159,27 @@ class TestMaximizeEp:
 
 
 def record_stacks(monkeypatch):
-    """Patch the search's closed-form kernel to record a copy of every stack it evaluates."""
+    """Patch the search's evaluation plans to record a copy of every stack they evaluate."""
     stacks = []
-    real_i0_i1 = entpow.search._i0_i1
 
-    def recording(stack, part):
-        stacks.append(stack.copy())
-        return real_i0_i1(stack, part)
+    class Recording(_EvalPlan):
+        def __init__(self, stack, part, work=None):
+            super().__init__(stack, part, work)
+            self.stack = stack
 
-    monkeypatch.setattr(entpow.search, "_i0_i1", recording)
+        def traces(self, count=None):
+            stacks.append(self.stack[:count].copy())
+            return super().traces(count)
+
+    monkeypatch.setattr(entpow.search, "_EvalPlan", Recording)
     return stacks
+
+
+def gradient(u, part):
+    """The Euclidean gradient at one matrix, from the Grams of a one-shot plan."""
+    plan = _EvalPlan(u, part)
+    plan.traces()
+    return _gradients(*plan.grams, part)[0]
 
 
 def sequential_maximize(part, seed, restarts, max_iters):
@@ -183,7 +194,7 @@ def sequential_maximize(part, seed, restarts, max_iters):
         val = ep_value(u, part)
         local, c = [(0, val)], 0
         for steps in range(1, max_iters + 1):
-            gu = _gradients(*_i0_i1(u, part)[2], part)[0] @ u.conj().T
+            gu = gradient(u, part) @ u.conj().T
             omega = gu - gu.conj().T
             w, v = np.linalg.eigh(-1j * omega)
             exponents = [c + 1, c, c - 1]
@@ -318,6 +329,22 @@ class TestLockstep:
         res = maximize_ep(P22, SeedSpec(0), restarts=5, max_iters=300)
         assert rows == entries and len(rows) == 3
         assert sum(entries) < res.iterations_used   # some window improved nothing
+
+    @pytest.mark.parametrize("restarts, groups", [(1, 1), (2, 1), (3, 2), (4, 2)])
+    def test_one_evaluation_plan_per_group(self, monkeypatch, restarts, groups):
+        # a group lays out its windows and Grams once, and every evaluation goes through them
+        built = []
+
+        class Counting(_EvalPlan):
+            def __init__(self, *args):
+                built.append(len(args[0]))
+                super().__init__(*args)
+
+        monkeypatch.setattr(entpow.search, "_EvalPlan", Counting)
+        monkeypatch.setattr(entpow.power, "_SUBSTACK_ENTRIES", 2 * 16)   # 2x2: two per group
+        maximize_ep(P22, SeedSpec(3), restarts=restarts, max_iters=50)
+        assert len(built) == groups
+        assert sum(built) == 3 * restarts    # each plan spans its group's three-step windows
 
     def test_floor_stop_matches_sequential_restarts(self, monkeypatch):
         # at 2x2 the window centre stays at 2^0 or above, so a floor of 2^0 or 2^1 is

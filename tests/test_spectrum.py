@@ -119,14 +119,15 @@ class TestBatchedSampling:
 
     @pytest.mark.parametrize("d1, d2", [(2, 2), (3, 3), (5, 5), (4, 2)])
     def test_a_sub_stack_allocates_under_a_quarter_buffer(self, d1, d2):
-        # the draw and the evaluation work through the thread's plans, in its workspace; what
-        # they allocate besides (the values and traces) stays below a quarter of one of its rows
+        # the draw and the evaluation work through the thread's plans, in its workspace, with
+        # A1 and T1 in A0's and T0's rows as in dist; what they allocate besides (the values and
+        # traces) stays below a quarter of one of its rows
         part = Bipartition(d1, d2)
         count = substack_size(part.dim)
         workspace = np.empty((4, count * part.dim ** 2), dtype=complex)
         rng = SeedSpec(82).generator()
         draw = _DrawPlan(workspace, count, part.dim)
-        evaluation = _EvalPlan(draw.q, part, workspace[:3])
+        evaluation = _EvalPlan(draw.q, part, [workspace[i] for i in (0, 1, 2, 1, 2)])
 
         def sub_stack():
             return ep_values(_haar_unitary_from([(rng, count)], part.dim, draw), part, evaluation)
