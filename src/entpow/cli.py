@@ -173,9 +173,6 @@ def _print_report(gate: UnitaryGate, report) -> None:
     print(f"haar_mean    = {report.haar_mean:.12f}")
     print(f"upper_bound  = {report.upper_bound:.12f}")
     print(f"gap_to_bound = {report.gap_to_bound:.12f}")
-    if report.mc_samples is not None:
-        print(f"mc_samples   = {report.mc_samples}")
-        print(f"mc_stderr    = {report.mc_stderr:.3e}")
 
 
 def cmd_eval(args) -> int:

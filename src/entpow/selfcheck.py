@@ -14,7 +14,7 @@ import numpy as np
 from .channels import kraus_from_unitary, partial_ep, partial_ep_bound
 from .gates import make_additive_permutation, make_cnot, make_controlled_family, make_identity, make_swap
 from .power import UnitaryGate, ep_closed, ep_dense_oracle, ep_value, haar_gate, swap_symmetric_ep, upper_bound
-from .sampling import SeedSpec, haar_unitary
+from .sampling import SeedSpec, haar_state, haar_unitary
 from .tensorops import ATOL, Bipartition, kron, pair_exchange
 
 #: master seed of the random gates the suite checks
@@ -106,10 +106,7 @@ def run_self_checks(extra_gate: UnitaryGate | None = None) -> list[CheckResult]:
         worst = -np.inf
         for _ in range(5):
             g = gate(part)
-            rng = SEED.substream(next(stream)).generator()
-            psi2 = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
-            psi2 /= np.linalg.norm(psi2)
-            value = partial_ep(kraus_from_unitary(g, psi2))
+            value = partial_ep(kraus_from_unitary(g, haar_state(d2, SEED.substream(next(stream)))))
             worst = max(worst, -value, value - partial_ep_bound(g))
         results.append(_check(f"fixed-state value within [0, partial bound] at {part} (5 gates)",
                               worst))

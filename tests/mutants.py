@@ -118,6 +118,10 @@ MUTATIONS = [
      "self.master_seed < 2**64", "self.master_seed < 2**65"),
     ("sampling", "one stream block fewer",
      "blocks = min(NUM_STREAM_BLOCKS, n_samples)", "blocks = min(NUM_STREAM_BLOCKS - 1, n_samples)"),
+    ("sampling", "haar_unitary accepts n = 0",
+     "if n < 1:", "if n < 0:"),
+    ("sampling", "haar_unitary's cap doubled",
+     "if n > DEFAULT_DIM_CAP:", "if n > 2 * DEFAULT_DIM_CAP:"),
     ("search", "restart generators taken out of order",
      "for r in range(first, min(first + group, restarts))]",
      "for r in reversed(range(first, min(first + group, restarts)))]"),
@@ -200,6 +204,8 @@ MUTATIONS = [
      "len(entry) != 2", "len(entry) < 2"),
     ("gates", "additive permutation accepts d = 1",
      "if d < 3 or d % 2 == 0:", "if d % 2 == 0:"),
+    ("gates", "controlled family accepts d = 1",
+     "if d < 2:", "if d < 1:"),
     ("channels", "Kraus completeness tolerance 1e-3",
      "if defect > ATOL:", "if defect > 1e-3:"),
     ("channels", "partial_ep weighted by C_d2",
@@ -216,6 +222,8 @@ MUTATIONS = [
      "(\"command\", \"func\", \"started\")", "(\"command\", \"func\")"),
     ("cli", "replay ignores --out",
      "return main(argv + ([\"--out\", args.out] if args.out else []))", "return main(argv)"),
+    ("cli", "replay lets JSONDecodeError escape",
+     "except json.JSONDecodeError as exc:", "except () as exc:"),
     ("cli", "MemoryError not mapped to exit 4",
      "except (ResourceLimitError, MemoryError) as exc:", "except ResourceLimitError as exc:"),
     ("cli", "failed manifest move keeps the new output",

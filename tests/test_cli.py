@@ -516,6 +516,13 @@ class TestReplayInput:
         assert message in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["m.json.manifest.json"]
 
+    def test_invalid_json_refused_and_nothing_written(self, capsys, tmp_path):
+        manifest = tmp_path / "m.json.manifest.json"
+        manifest.write_text('{"argv": ["eval", "--gate", "cnot"]')    # no closing brace
+        assert main(["replay", str(manifest), "--out", str(tmp_path / "x.json")]) == EXIT_VALIDATION
+        assert f"manifest {manifest} is not valid JSON" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json.manifest.json"]
+
 
 class TestVerify:
     def test_fresh_build_passes(self, capsys):

@@ -72,6 +72,10 @@ class TestControlledFamily:
                            match=r"controlled blocks 0 and 2 .* \|<U_0, U_2>\| = 3\.000e\+00"):
             make_controlled_family(3, [np.eye(3), clock_matrix(3), np.eye(3)])
 
+    def test_rejects_a_one_dimensional_control(self):
+        with pytest.raises(DimensionError, match="needs d >= 2, got 1"):
+            make_controlled_family(1)
+
     def test_rejects_wrong_count(self):
         with pytest.raises(ValidationError):
             make_controlled_family(3, [np.eye(3), clock_matrix(3)])

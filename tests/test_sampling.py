@@ -3,8 +3,10 @@ import pytest
 from numpy.linalg._umath_linalg import qr_reduced
 from numpy.testing import assert_allclose, assert_array_equal
 
+import entpow.sampling
 from entpow import Bipartition, DimensionError, SeedSpec, ValidationError, haar_state, haar_unitary, kron, linear_entropy
 from entpow.sampling import _DrawPlan, _haar_unitary_from, block_sizes, product_state_block
+from entpow.tensorops import DEFAULT_DIM_CAP
 
 
 def _moment(fn, d, n, seed):
@@ -95,6 +97,18 @@ class TestHaarUnitary:
         u = haar_unitary(1, SeedSpec(5))
         assert u.shape == (1, 1)
         assert_allclose(np.abs(u[0, 0]), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,message", [
+        (0, "must be >= 1, got 0"),
+        (DEFAULT_DIM_CAP + 1, f"{DEFAULT_DIM_CAP + 1} exceeds the cap of {DEFAULT_DIM_CAP}"),
+    ])
+    def test_refused_before_any_draw(self, monkeypatch, n, message):
+        def must_not_draw(*args):
+            raise AssertionError("drew past the dimension check")
+
+        monkeypatch.setattr(entpow.sampling, "_haar_unitary_from", must_not_draw)
+        with pytest.raises(DimensionError, match=message):
+            haar_unitary(n, SeedSpec(0))
 
     def test_columns_orthonormal(self):
         for i in range(10):

@@ -66,10 +66,21 @@ def cartan_grid(n: int = GRID_POINTS):
         yield ep_cartan(c1, c2, c3), haar_weight(c1, c2, c3)
 
 
+def _weighted_sums(n: int) -> np.ndarray:
+    """The weighted sums of ``1``, ``e`` and ``e^2`` over the grid."""
+    return np.array([(w.sum(), (e * w).sum(), (e * e * w).sum()) for e, w in cartan_grid(n)]).sum(axis=0)
+
+
 def exact_mean(n: int = GRID_POINTS) -> float:
     """Haar mean of ``e`` at 2x2 by quadrature."""
-    sums = np.array([((e * w).sum(), w.sum()) for e, w in cartan_grid(n)]).sum(axis=0)
-    return float(sums[0] / sums[1])
+    total, first, _ = _weighted_sums(n)
+    return float(first / total)
+
+
+def exact_variance(n: int = GRID_POINTS) -> float:
+    """Haar variance of ``e`` at 2x2 by quadrature."""
+    total, first, second = _weighted_sums(n)
+    return float(second / total - (first / total) ** 2)
 
 
 def exact_bin_probabilities(edges: np.ndarray, n: int = GRID_POINTS) -> np.ndarray:
