@@ -68,23 +68,19 @@ def _dims_from_args(args, square: bool = False) -> tuple[int, int]:
     return d1, d2
 
 
-def _square_dim_from_args(args) -> int:
-    return _dims_from_args(args, square=True)[0]
-
-
 def _controlled_shift(args) -> UnitaryGate:
-    d = _square_dim_from_args(args)
+    d = _dims_from_args(args, square=True)[0]
     return make_controlled_family(d, [np.linalg.matrix_power(shift_matrix(d), a) for a in range(d)])
 
 
 #: ``--gate`` name -> constructor from the parsed arguments
 GATES = {
     "identity": lambda args: make_identity(Bipartition(*_dims_from_args(args))),
-    "swap": lambda args: make_swap(_square_dim_from_args(args)),
+    "swap": lambda args: make_swap(_dims_from_args(args, square=True)[0]),
     "cnot": lambda args: make_cnot(),
-    "controlled-clock": lambda args: make_controlled_family(_square_dim_from_args(args)),
+    "controlled-clock": lambda args: make_controlled_family(_dims_from_args(args, square=True)[0]),
     "controlled-shift": _controlled_shift,
-    "additive-perm": lambda args: make_additive_permutation(_square_dim_from_args(args)),
+    "additive-perm": lambda args: make_additive_permutation(_dims_from_args(args, square=True)[0]),
 }
 
 

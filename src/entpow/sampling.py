@@ -19,7 +19,6 @@ factorization.
 # annotations stay unevaluated, so that importing this module does not load numpy.random
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,12 +105,6 @@ def haar_unitary(n: int, seed: SeedSpec) -> np.ndarray:
     return _haar_unitary_from([(seed.generator(), 1)], n)[0]
 
 
-@functools.lru_cache(maxsize=4)    # a dist or optimize run draws at one size
-def _lower_triangle(n: int):
-    """Row and column index arrays of the ``n x n`` lower triangle, in ``np.tril_indices`` order."""
-    return np.tril_indices(n)
-
-
 class _DrawPlan:
     """The views one draw of ``count`` ``n x n`` Haar unitaries works through, laid out once.
 
@@ -146,7 +139,7 @@ class _DrawPlan:
         self.g_real, self.g_imag = self.g[:, 0].T, self.g[:, 1].T
         x = _leading(mats, (n, count, n))
         self.x, self.x_rows, self.x_real, self.x_imag = x, list(x), x.real, x.imag
-        self.lower = _lower_triangle(n)
+        self.lower = np.nonzero(np.tri(n, dtype=bool))     # np.tril_indices(n), in its order
         self.diagonal, self.reflectors = np.diagonal(x, axis1=0, axis2=2), x.transpose(1, 0, 2)
         self.squares, self.imag2 = _leading(out.view(float), x.shape), _leading(gauss, x.shape)
         self.beta, self.tau, self.alpha = (_leading(slot, (count, n)) for slot in (work[0], taus, out))

@@ -103,7 +103,7 @@ MUTATIONS = [
     ("sampling", "tau conjugated, so zungqr multiplies the reflectors' adjoints",
      "np.subtract(p.beta, p.alpha, out=p.tau)", "np.subtract(p.beta, p.alpha.conj(), out=p.tau)"),
     ("sampling", "Gaussians fill the lower triangle column by column",
-     "return np.tril_indices(n)", "return np.triu_indices(n)[::-1]"),
+     "np.nonzero(np.tri(n, dtype=bool))", "np.nonzero(np.tri(n, dtype=bool).T)[::-1]"),
     ("sampling", "matrix slot not zeroed, so the squares read its last contents above the diagonal",
      "    p.x.fill(0)\n", ""),
     ("sampling", "beta's imaginary parts left as the slot held them",
@@ -218,6 +218,8 @@ MUTATIONS = [
      "@functools.cache\ndef build_parser", "def build_parser"),
     ("cli", "square gates accept unequal dimensions",
      "if square and d1 != d2:", "if False:"),
+    ("cli", "swap accepts unequal dimensions",
+     "make_swap(_dims_from_args(args, square=True)[0])", "make_swap(_dims_from_args(args)[0])"),
     ("cli", "start time recorded as an option",
      "(\"command\", \"func\", \"started\")", "(\"command\", \"func\")"),
     ("cli", "replay ignores --out",

@@ -193,6 +193,17 @@ class TestStackedHaarDraw:
             assert_array_equal(_haar_unitary_from([(rng, count)], n, plan),
                                _haar_unitary_from([(fresh, count)], n))
 
+    @pytest.mark.parametrize("n", [2, 4, 9])
+    def test_plans_share_no_index_arrays(self, n):
+        # each plan owns its lower-triangle indices: writing over one plan's leaves another
+        # plan's draws as they were
+        count, rng = 3, SeedSpec(67, n).generator()
+        expected = np.stack([per_matrix_draw(rng, n) for _ in range(count)])
+        first, second = (_DrawPlan(np.empty((4, count * n * n), dtype=complex), count, n) for _ in range(2))
+        for index in first.lower:
+            index[:] = 0
+        assert_array_equal(_haar_unitary_from([(SeedSpec(67, n).generator(), count)], n, second), expected)
+
     def test_stack_is_unitary(self):
         for n in range(1, 26):
             u = _haar_unitary_from([(SeedSpec(63, n).generator(), 20)], n)

@@ -26,7 +26,8 @@ pseudo-inverse; ``f`` and ``g`` are overlaps of an operator with the
 permutation operators, so they lie in the Gram's range, and ``Wg g`` may be
 replaced by any solution ``x`` of ``Gram x = g``.  That is how the averages
 are formed here, in exact ``Fraction`` arithmetic: ``e`` has degree (2, 2), so
-its mean needs ``S2`` and its variance ``S4``.
+its mean needs ``S2`` and its variance ``S4``.  :func:`variance` is the same
+variance in closed form.
 """
 
 import functools
@@ -124,6 +125,30 @@ def haar_moments(d1: int, d2: int) -> tuple:
     x00, x01, x11 = expectations([product(X0, X0), product(X0, X1), product(X1, X1)], d1, d2)
     mean = 1 - c * (n * d2 + n * d1 + x0 + x1)
     return mean, c * c * (x00 + 2 * x01 + x11 - (x0 + x1) ** 2)
+
+
+def variance(d1: int, d2: int) -> Fraction:
+    """The exact Haar variance of ``e`` on a ``d1 x d2`` system, in closed form.
+
+    With ``n = d1 d2`` and the mean ``m = (d1 - 1)(d2 - 1) / (n + 1)``::
+
+        Var e = 4 (d1 - 1)^2 (d2 - 1)^2 / (n^2 (n - 1) (n + 1)^2 (n + 3))
+              = m^2 * 4 / (n^2 (n - 1) (n + 3)),
+
+    so ``std / mean = 2 / (n sqrt((n - 1)(n + 3)))``, about ``2 / n^2``.  It is
+    :func:`haar_moments`' ``S4 x S4`` sum done symbolically.  ``Wg(s, t)``
+    depends only on the cycle type of ``s^-1 t``; over ``D = n^2 (n^2 - 1)
+    (n^2 - 4)(n^2 - 9)`` it reads ``(n^4 - 8 n^2 + 6) / D`` at ``1^4``, ``-n
+    (n^2 - 4) / D`` at ``2 1^2``, ``(n^2 + 6) / D`` at ``2^2``, ``(2 n^2 - 3) /
+    D`` at ``3 1`` and ``-5 n / D`` at ``4``.  Each ``f(s) g(t)`` is a monomial
+    in ``d1`` and ``d2``, and in the variance the factors ``n - 3``, ``n - 2``
+    and ``n + 2`` cancel.  At ``n = 1`` the form reads ``0 / 0``; there ``e =
+    0``.
+    """
+    n = d1 * d2
+    if n == 1:
+        return Fraction(0)
+    return Fraction(4 * (d1 - 1) ** 2 * (d2 - 1) ** 2, n ** 2 * (n - 1) * (n + 1) ** 2 * (n + 3))
 
 
 def evaluate(monomial: tuple, u: np.ndarray, d1: int, d2: int) -> complex:
