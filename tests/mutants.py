@@ -220,6 +220,14 @@ MUTATIONS = [
      "if square and d1 != d2:", "if False:"),
     ("cli", "swap accepts unequal dimensions",
      "make_swap(_dims_from_args(args, square=True)[0])", "make_swap(_dims_from_args(args)[0])"),
+    ("cli", "controlled-clock accepts unequal dimensions",
+     "make_controlled_family(_dims_from_args(args, square=True)[0])",
+     "make_controlled_family(_dims_from_args(args)[0])"),
+    ("cli", "controlled-shift accepts unequal dimensions",
+     "d = _dims_from_args(args, square=True)[0]", "d = _dims_from_args(args)[0]"),
+    ("cli", "additive-perm accepts unequal dimensions",
+     "make_additive_permutation(_dims_from_args(args, square=True)[0])",
+     "make_additive_permutation(_dims_from_args(args)[0])"),
     ("cli", "start time recorded as an option",
      "(\"command\", \"func\", \"started\")", "(\"command\", \"func\")"),
     ("cli", "replay ignores --out",

@@ -481,10 +481,11 @@ class TestConflictingOptions:
         (["--d1", "2", "--d2", "3"], "this gate needs --d (or equal --d1/--d2)"),
     ], ids=["none", "d1-only", "d2-only", "unequal"])
     def test_square_gate_needs_equal_dimensions(self, capsys, tmp_path, dims, message):
-        code = main(["eval", "--gate", "swap", *dims, "--out", str(tmp_path / "r.json")])
-        assert code == EXIT_VALIDATION
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert list(tmp_path.iterdir()) == []
+        for gate in ("swap", "controlled-clock", "controlled-shift", "additive-perm"):
+            code = main(["eval", "--gate", gate, *dims, "--out", str(tmp_path / "r.json")])
+            assert code == EXIT_VALIDATION, gate
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [["dist", "--d1", "3", "--out", "x.csv"],
                                       ["optimize", "--d2", "3", "--out", "x.json"]],
